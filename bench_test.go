@@ -180,10 +180,6 @@ func BenchmarkWorldBatchSampling(b *testing.B) {
 		wb := ugs.NewWorldBatch[ugs.Vec64](g)
 		run(b, func(s []int64) { ugs.SampleWorldBatch(g, s, wb) }, 64)
 	})
-	b.Run("128", func(b *testing.B) {
-		wb := ugs.NewWorldBatch[ugs.Vec128](g)
-		run(b, func(s []int64) { ugs.SampleWorldBatch(g, s, wb) }, 128)
-	})
 	b.Run("256", func(b *testing.B) {
 		wb := ugs.NewWorldBatch[ugs.Vec256](g)
 		run(b, func(s []int64) { ugs.SampleWorldBatch(g, s, wb) }, 256)
@@ -352,10 +348,10 @@ func BenchmarkAblationQueryEngine(b *testing.B) {
 	pairs := ugs.RandomPairs(g.NumVertices(), 50, rand.New(rand.NewSource(1)))
 	ctx := context.Background()
 	for _, v := range []struct {
-		name   string
-		scalar bool
-	}{{"batch", false}, {"scalar", true}} {
-		opts := mc.Options{Samples: 50, Seed: 1, Scalar: v.scalar}
+		name  string
+		lanes int
+	}{{"batch", 0}, {"scalar", 1}} {
+		opts := mc.Options{Samples: 50, Seed: 1, Lanes: v.lanes}
 		b.Run("reliability/"+v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := ugs.Reliability(ctx, g, pairs, opts); err != nil {
@@ -380,7 +376,7 @@ func BenchmarkAblationQueryEngine(b *testing.B) {
 	}
 	// Wide-lane widths on a budget large enough to fill 256 lanes, plus the
 	// sequential-stopping schedule against the fixed default.
-	for _, lanes := range []int{64, 128, 256} {
+	for _, lanes := range []int{64, 256} {
 		opts := mc.Options{Samples: 512, Seed: 1, Lanes: lanes}
 		b.Run(fmt.Sprintf("reliability/512x%d", lanes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -269,8 +269,8 @@ func main() {
 	seed := int64(0)
 	batchSeeds := make([]int64, 64)
 	pairs := ugs.RandomPairs(g.NumVertices(), 50, rand.New(rand.NewSource(1)))
-	queryOpts := func(scalar bool) mc.Options {
-		return mc.Options{Samples: 50, Seed: 1, Scalar: scalar}
+	queryOpts := func(lanes int) mc.Options {
+		return mc.Options{Samples: 50, Seed: 1, Lanes: lanes}
 	}
 	benches = append(benches,
 		struct {
@@ -294,7 +294,7 @@ func main() {
 			name string
 			fn   func()
 		}{"ReliabilityMC", func() {
-			if _, err := ugs.Reliability(ctx, g, pairs, queryOpts(false)); err != nil {
+			if _, err := ugs.Reliability(ctx, g, pairs, queryOpts(0)); err != nil {
 				fatal(err)
 			}
 		}},
@@ -302,7 +302,7 @@ func main() {
 			name string
 			fn   func()
 		}{"ReliabilityMC/scalar", func() {
-			if _, err := ugs.Reliability(ctx, g, pairs, queryOpts(true)); err != nil {
+			if _, err := ugs.Reliability(ctx, g, pairs, queryOpts(1)); err != nil {
 				fatal(err)
 			}
 		}},
@@ -310,7 +310,7 @@ func main() {
 			name string
 			fn   func()
 		}{"ShortestDistMC", func() {
-			if _, err := ugs.ShortestDistance(ctx, g, pairs, queryOpts(false)); err != nil {
+			if _, err := ugs.ShortestDistance(ctx, g, pairs, queryOpts(0)); err != nil {
 				fatal(err)
 			}
 		}},
@@ -318,7 +318,7 @@ func main() {
 			name string
 			fn   func()
 		}{"ShortestDistMC/scalar", func() {
-			if _, err := ugs.ShortestDistance(ctx, g, pairs, queryOpts(true)); err != nil {
+			if _, err := ugs.ShortestDistance(ctx, g, pairs, queryOpts(1)); err != nil {
 				fatal(err)
 			}
 		}},
@@ -326,7 +326,7 @@ func main() {
 			name string
 			fn   func()
 		}{"ConnectedMC", func() {
-			if _, err := ugs.ConnectedProbability(ctx, g, queryOpts(false)); err != nil {
+			if _, err := ugs.ConnectedProbability(ctx, g, queryOpts(0)); err != nil {
 				fatal(err)
 			}
 		}},
@@ -334,21 +334,21 @@ func main() {
 			name string
 			fn   func()
 		}{"ConnectedMC/scalar", func() {
-			if _, err := ugs.ConnectedProbability(ctx, g, queryOpts(true)); err != nil {
+			if _, err := ugs.ConnectedProbability(ctx, g, queryOpts(1)); err != nil {
 				fatal(err)
 			}
 		}},
 	)
 
 	// Wide-lane benchmarks: the same estimators on a 512-sample budget at
-	// every explicit engine width. 512 samples fill 8 / 4 / 2 batches at 64
-	// / 128 / 256 lanes, so these measure how well wider vectors amortize
-	// traversal control flow and per-fill gather passes. Results are
-	// bit-identical across the three; only ns/op may differ.
+	// both explicit engine widths. 512 samples fill 8 / 2 batches at 64 /
+	// 256 lanes, so these measure how well wider vectors amortize traversal
+	// control flow and per-fill gather passes. Results are bit-identical
+	// across the two; only ns/op may differ.
 	wideOpts := func(lanes int) mc.Options {
 		return mc.Options{Samples: 512, Seed: 1, Lanes: lanes}
 	}
-	for _, lanes := range []int{64, 128, 256} {
+	for _, lanes := range []int{64, 256} {
 		lanes := lanes
 		benches = append(benches,
 			struct {
@@ -526,7 +526,7 @@ func main() {
 			name string
 			fn   func()
 		}{"ReliabilityMC/mapped", func() {
-			if _, err := ugs.Reliability(ctx, mg, pairs, queryOpts(false)); err != nil {
+			if _, err := ugs.Reliability(ctx, mg, pairs, queryOpts(0)); err != nil {
 				fatal(err)
 			}
 		}},

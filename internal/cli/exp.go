@@ -24,10 +24,9 @@ func RunExp(args []string, stdout, stderr io.Writer) int {
 		full    = fs.Bool("full", false, "paper-scale parameters (slow)")
 		seed    = fs.Int64("seed", 42, "random seed")
 		workers = fs.Int("workers", 0, "Monte-Carlo parallelism (0 = GOMAXPROCS)")
-		scalar  = fs.Bool("scalar-queries", false, "use the scalar one-world-per-traversal estimators instead of the bit-parallel 64-world batch engine (ablation; results are bit-identical)")
 		timeout = fs.Duration("timeout", 0, "abort the batch after this duration, checked between sparsification runs (0 = unbounded)")
-		lanes   = fs.String("lanes", "auto", "batch-engine width: auto (planner), 1 (scalar ablation), 64, 128 or 256 world lanes; results are bit-identical at any width")
-		fanOut  = fs.String("fan-out", "auto", "pair-query source group size: auto (planner), 1 (per-source ablation) or 2..64 sources per traversal; results are bit-identical at any fan-out")
+		lanes   = fs.String("lanes", "auto", "batch-engine width: auto (fixed rule over query kind and sample budget), 1 (scalar one-world-per-traversal ablation), 64 or 256 world lanes; results are bit-identical at any width")
+		fanOut  = fs.String("fan-out", "auto", "pair-query source group size: auto (fixed rule over lane width and distinct sources), 1 (per-source ablation) or 2..64 sources per traversal; results are bit-identical at any fan-out")
 		conf    = fs.String("confidence", "", "adaptive stopping target \"eps[,delta]\" for the pair estimators: sample until every CI half-width ≤ eps at confidence 1−delta (empty = fixed budgets)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -36,10 +35,6 @@ func RunExp(args []string, stdout, stderr io.Writer) int {
 	laneWidth, err := ugs.ParseLanes(*lanes)
 	if err != nil {
 		fmt.Fprintln(stderr, "ugs-exp: -lanes:", err)
-		return 2
-	}
-	if *scalar && laneWidth > 1 {
-		fmt.Fprintf(stderr, "ugs-exp: -scalar-queries contradicts -lanes %d\n", laneWidth)
 		return 2
 	}
 	fanWidth, err := ugs.ParseFanOut(*fanOut)
@@ -52,8 +47,8 @@ func RunExp(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ugs-exp: -confidence:", err)
 		return 2
 	}
-	if confSet && (*scalar || laneWidth == 1) {
-		fmt.Fprintln(stderr, "ugs-exp: -confidence requires the batch engine; drop -scalar-queries / -lanes 1")
+	if confSet && laneWidth == 1 {
+		fmt.Fprintln(stderr, "ugs-exp: -confidence requires the batch engine; drop -lanes 1")
 		return 2
 	}
 
@@ -85,7 +80,7 @@ func RunExp(args []string, stdout, stderr io.Writer) int {
 		stop()
 	}()
 	ctx := exp.NewContext(exp.Config{
-		Full: *full, Seed: *seed, Workers: *workers, ScalarQueries: *scalar,
+		Full: *full, Seed: *seed, Workers: *workers,
 		Lanes: laneWidth, FanOut: fanWidth, ConfEps: confEps, ConfDelta: confDelta, Ctx: runCtx,
 	})
 	var experiments []exp.Experiment

@@ -73,8 +73,8 @@ func RunServeContext(ctx context.Context, args []string, stdout, stderr io.Write
 		storeBudget = fs.String("store-budget", "", "resident graph-bytes budget with K/M/G suffixes, e.g. 512M (empty = unlimited)")
 		convertDir  = fs.String("convert-dir", "", "directory for .ugsb sidecars of converted text graphs and uploads (default: a temp dir)")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for requests and jobs")
-		lanes       = fs.String("lanes", "auto", "default query engine width: auto (planner), 1 (scalar ablation), 64, 128 or 256 world lanes")
-		fanOut      = fs.String("fan-out", "auto", "default pair-query source group size: auto (planner), 1 (per-source ablation) or 2..64 sources per traversal")
+		lanes       = fs.String("lanes", "auto", "default query engine width: auto (fixed rule over query kind and sample budget), 1 (scalar ablation), 64 or 256 world lanes")
+		fanOut      = fs.String("fan-out", "auto", "default pair-query source group size: auto (fixed rule over lane width and distinct sources), 1 (per-source ablation) or 2..64 sources per traversal")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this side listener (e.g. localhost:6060; empty = disabled)")
 		confidence  = fs.String("confidence", "", "default adaptive stopping target \"eps[,delta]\": sample until every estimate's CI half-width ≤ eps at confidence 1−delta (empty = fixed budgets)")
 		worldCache  = fs.String("world-cache", "64M", "sampled-world cache budget with K/M/G suffixes (0 disables)")

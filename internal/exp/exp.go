@@ -27,12 +27,9 @@ type Config struct {
 	Seed int64
 	// Workers is the Monte-Carlo parallelism (0 = GOMAXPROCS).
 	Workers int
-	// ScalarQueries forces the Monte-Carlo estimators onto the scalar
-	// one-world-per-traversal path instead of the bit-parallel 64-world
-	// batch engine (the ablation; results are bit-identical either way).
-	ScalarQueries bool
-	// Lanes pins the batch-engine world width (64, 128 or 256 lanes).
-	// 0 lets the planner choose; results are bit-identical at any width.
+	// Lanes pins the batch-engine world width (64 or 256 lanes), or 1 to
+	// force the scalar one-world-per-traversal ablation. 0 lets the planner
+	// choose; results are bit-identical at any width.
 	Lanes int
 	// FanOut pins the pair-estimator source group size (1 = one traversal
 	// per source, the per-source ablation; 2..64 = explicit multi-source

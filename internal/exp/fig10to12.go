@@ -56,14 +56,14 @@ func evalQueries(ctx context.Context, g *ugraph.Graph, pairs []queries.Pair, opt
 }
 
 // mcOptions builds the Monte-Carlo engine options for a query run. SP, RL
-// and connectivity estimates ride the bit-parallel batch engine unless
-// Cfg.ScalarQueries selects the scalar ablation; Cfg.Lanes pins the width,
-// Cfg.FanOut pins the multi-source group size the pair estimators batch
-// their many distinct sources into, and Cfg.ConfEps switches the pair
-// estimators to sequential stopping (vector queries keep the fixed budget —
-// their per-vertex estimates have no shared stopping statistic).
+// and connectivity estimates ride the bit-parallel batch engine at the
+// width Cfg.Lanes pins (1 is the scalar ablation), Cfg.FanOut pins the
+// multi-source group size the pair estimators batch their many distinct
+// sources into, and Cfg.ConfEps switches the pair estimators to sequential
+// stopping (vector queries keep the fixed budget — their per-vertex
+// estimates have no shared stopping statistic).
 func (c *Context) mcOptions(samples int) mc.Options {
-	o := mc.Options{Samples: samples, Seed: c.Cfg.Seed + 1000, Workers: c.Cfg.Workers, Scalar: c.Cfg.ScalarQueries, Lanes: c.Cfg.Lanes, FanOut: c.Cfg.FanOut}
+	o := mc.Options{Samples: samples, Seed: c.Cfg.Seed + 1000, Workers: c.Cfg.Workers, Lanes: c.Cfg.Lanes, FanOut: c.Cfg.FanOut}
 	if c.Cfg.ConfEps > 0 {
 		t := mc.WithConfidence(c.Cfg.ConfEps, c.Cfg.ConfDelta)
 		t.MaxSamples = samples * 16
@@ -185,7 +185,7 @@ func runFig11(w io.Writer, ctx *Context) error {
 // and the mean clustering coefficient. An estimator error (only possible on
 // cancellation) surfaces as NaN; the surrounding experiment then aborts on
 // its next context check.
-func scalarEstimators(ctx context.Context, g *ugraph.Graph, pairs []queries.Pair, samples, workers int, scalarEngine bool) [4]func(run int) float64 {
+func scalarEstimators(ctx context.Context, g *ugraph.Graph, pairs []queries.Pair, samples, workers, lanes int) [4]func(run int) float64 {
 	hub := 0
 	d := g.ExpectedDegrees()
 	for v, dv := range d {
@@ -194,7 +194,7 @@ func scalarEstimators(ctx context.Context, g *ugraph.Graph, pairs []queries.Pair
 		}
 	}
 	opts := func(run int) mc.Options {
-		return mc.Options{Samples: samples, Seed: int64(run)*7919 + 13, Workers: workers, Scalar: scalarEngine}
+		return mc.Options{Samples: samples, Seed: int64(run)*7919 + 13, Workers: workers, Lanes: lanes}
 	}
 	return [4]func(run int) float64{
 		func(run int) float64 {
@@ -251,7 +251,7 @@ func runFig12(w io.Writer, ctx *Context) error {
 		pairs := queries.RandomPairs(ds.g.NumVertices(), s.pairs/2, rng)
 
 		baseVar := [4]float64{}
-		baseEst := scalarEstimators(ctx.Ctx(), ds.g, pairs, s.varianceSamples, ctx.Cfg.Workers, ctx.Cfg.ScalarQueries)
+		baseEst := scalarEstimators(ctx.Ctx(), ds.g, pairs, s.varianceSamples, ctx.Cfg.Workers, ctx.Cfg.Lanes)
 		for q := range baseEst {
 			_, v := stats.EstimatorVariance(s.varianceRuns, baseEst[q])
 			baseVar[q] = v
@@ -271,7 +271,7 @@ func runFig12(w io.Writer, ctx *Context) error {
 			if err != nil {
 				return err
 			}
-			est := scalarEstimators(ctx.Ctx(), sparse, pairs, s.varianceSamples, ctx.Cfg.Workers, ctx.Cfg.ScalarQueries)
+			est := scalarEstimators(ctx.Ctx(), sparse, pairs, s.varianceSamples, ctx.Cfg.Workers, ctx.Cfg.Lanes)
 			row := []string{displayName(spec)}
 			for q := range est {
 				_, v := stats.EstimatorVariance(s.varianceRuns, est[q])

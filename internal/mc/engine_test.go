@@ -31,7 +31,7 @@ func popCountRun[V ugraph.Vec](t *testing.T, g *ugraph.Graph, opts Options) int 
 
 // TestReduceBatchBitIdenticalAcrossWidths is the tentpole's core oracle:
 // the same (Seed, Samples) run must produce identical integer accumulations
-// at 64, 128 and 256 lanes — and for a scalar Reduce over the same stream —
+// at 64 and 256 lanes — and for a scalar Reduce over the same stream —
 // including ragged final batches at every width.
 func TestReduceBatchBitIdenticalAcrossWidths(t *testing.T) {
 	g := bridgedCommunities()
@@ -47,11 +47,10 @@ func TestReduceBatchBitIdenticalAcrossWidths(t *testing.T) {
 			t.Fatal(err)
 		}
 		w64 := popCountRun[ugraph.Vec64](t, g, opts)
-		w128 := popCountRun[ugraph.Vec128](t, g, opts)
 		w256 := popCountRun[ugraph.Vec256](t, g, opts)
-		if w64 != *scalar || w128 != *scalar || w256 != *scalar {
-			t.Fatalf("samples=%d: widths disagree: scalar=%d 64=%d 128=%d 256=%d",
-				samples, *scalar, w64, w128, w256)
+		if w64 != *scalar || w256 != *scalar {
+			t.Fatalf("samples=%d: widths disagree: scalar=%d 64=%d 256=%d",
+				samples, *scalar, w64, w256)
 		}
 	}
 }
@@ -108,7 +107,7 @@ func TestReduceOffsetShiftsSampleStream(t *testing.T) {
 		return *n
 	}
 	countBatch := func(samples, offset int) int {
-		return popCountRun[ugraph.Vec128](t, g, Options{Samples: samples, Seed: 5, Offset: offset, Workers: 3})
+		return popCountRun[ugraph.Vec256](t, g, Options{Samples: samples, Seed: 5, Offset: offset, Workers: 3})
 	}
 	full := count(500, 0)
 	if got := count(130, 0) + count(370, 130); got != full {
@@ -183,8 +182,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative samples", Options{Samples: -1}, ErrSampleCount},
 		{"negative offset", Options{Offset: -5}, ErrSampleCount},
 		{"bad lane width", Options{Lanes: 32}, ErrLaneWidth},
-		{"scalar contradicts lanes", Options{Scalar: true, Lanes: 128}, ErrLaneWidth},
-		{"target with scalar", Options{Scalar: true, Target: WithConfidence(0.05, 0.05)}, ErrScalarTarget},
+		{"128 lanes", Options{Lanes: 128}, ErrLaneWidth},
 		{"target with lanes 1", Options{Lanes: 1, Target: WithConfidence(0.05, 0.05)}, ErrScalarTarget},
 		{"eps zero", Options{Target: &Target{Eps: 0}}, ErrConfidence},
 		{"eps too big", Options{Target: &Target{Eps: 1.5}}, ErrConfidence},
@@ -199,8 +197,8 @@ func TestOptionsValidate(t *testing.T) {
 	good := []Options{
 		{},
 		{Samples: 500, Lanes: 256, Workers: 3},
-		{Scalar: true},
-		{Lanes: 128, Target: WithConfidence(0.02, 0.1)},
+		{Lanes: 1},
+		{Lanes: 64, Target: WithConfidence(0.02, 0.1)},
 	}
 	for _, o := range good {
 		if err := o.Validate(); err != nil {
@@ -219,18 +217,18 @@ func TestOptionsValidate(t *testing.T) {
 
 // TestParseFormatLanes round-trips the flag encoding.
 func TestParseFormatLanes(t *testing.T) {
-	for s, want := range map[string]int{"": 0, "auto": 0, "1": 1, "64": 64, "128": 128, "256": 256} {
+	for s, want := range map[string]int{"": 0, "auto": 0, "1": 1, "64": 64, "256": 256} {
 		got, err := ParseLanes(s)
 		if err != nil || got != want {
 			t.Errorf("ParseLanes(%q) = %d, %v; want %d", s, got, err, want)
 		}
 	}
-	for _, s := range []string{"2", "512", "wide", "-64"} {
+	for _, s := range []string{"2", "128", "512", "wide", "-64"} {
 		if _, err := ParseLanes(s); !errors.Is(err, ErrLaneWidth) {
 			t.Errorf("ParseLanes(%q) err = %v, want ErrLaneWidth", s, err)
 		}
 	}
-	for _, lanes := range []int{0, 1, 64, 128, 256} {
+	for _, lanes := range []int{0, 1, 64, 256} {
 		back, err := ParseLanes(FormatLanes(lanes))
 		if err != nil || back != lanes {
 			t.Errorf("round-trip %d → %q → %d, %v", lanes, FormatLanes(lanes), back, err)

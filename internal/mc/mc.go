@@ -4,7 +4,7 @@
 // per-block accumulators merged in block order, so results are bit-identical
 // for every worker count; the sample path performs no locking and no
 // steady-state allocation. The batch engine is generic over the world-lane
-// width (64/128/256 lanes per traversal, see ugraph.Vec), fixed budgets can
+// width (64 or 256 lanes per traversal, see ugraph.Vec), fixed budgets can
 // be replaced by sequential-stopping targets (Target, RunAdaptive), and
 // sampled fill blocks can be shared across runs through a ugraph.FillCache.
 // Exhaustive exact evaluation on tiny graphs is provided as a testing

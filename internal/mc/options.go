@@ -22,24 +22,19 @@ type Options struct {
 	Seed int64
 	// Workers is the parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Scalar forces estimators that support the bit-parallel batch engine
-	// (reliability, shortest distance, connectivity) onto the
-	// one-world-per-traversal path. It is the ablation and debugging
-	// switch: both paths are bit-identical on the same Seed, the batch
-	// path is just faster. Equivalent to Lanes: 1.
-	Scalar bool
 	// Lanes selects the batch width for estimators that support the
-	// bit-parallel engine: 0 is automatic (the planner picks from graph
-	// size and query shape), 1 is the scalar ablation, and 64, 128 or 256
+	// bit-parallel engine (reliability, shortest distance, connectivity):
+	// 0 is automatic (a fixed rule over the query kind and sample budget),
+	// 1 is the scalar one-world-per-traversal ablation, and 64 or 256
 	// select an explicit WorldBatch width. The width is an execution
 	// choice only — estimates are bit-identical across all of them.
 	Lanes int
 	// FanOut selects how many distinct query sources a pair estimator
-	// traversal carries at once: 0 is automatic (the planner probes whether
-	// grouping pays on this graph), 1 forces one traversal per source (the
-	// per-source ablation), and 2..64 pin an explicit group size. Like
-	// Lanes, it is an execution choice only — per-pair estimates are
-	// bit-identical across every fan-out.
+	// traversal carries at once: 0 is automatic (a fixed rule over the lane
+	// width and the distinct-source count), 1 forces one traversal per
+	// source (the per-source ablation), and 2..64 pin an explicit group
+	// size. Like Lanes, it is an execution choice only — per-pair
+	// estimates are bit-identical across every fan-out.
 	FanOut int
 	// Target, when non-nil, switches supporting estimators from the fixed
 	// Samples budget to sequential stopping: batches are drawn in
@@ -71,11 +66,11 @@ var (
 	// estimates.
 	ErrSampleCount = errors.New("mc: invalid sample count")
 	// ErrLaneWidth rejects lane widths outside {0 (auto), 1 (scalar), 64,
-	// 128, 256}.
+	// 256}.
 	ErrLaneWidth = errors.New("mc: invalid lane width")
 	// ErrScalarTarget rejects a confidence target combined with the scalar
-	// ablation (Scalar or Lanes: 1): sequential stopping runs on the batch
-	// engine.
+	// ablation (Lanes: 1): sequential stopping plans each round's engine
+	// from that round's budget rather than pinning the ablation.
 	ErrScalarTarget = errors.New("mc: confidence target requires the batch engine")
 	// ErrConfidence rejects confidence targets with out-of-range Eps,
 	// Delta or an empty sample schedule.
@@ -102,19 +97,16 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: negative stream offset %d", ErrSampleCount, o.Offset)
 	}
 	switch o.Lanes {
-	case 0, 1, ugraph.BatchLanes, 2 * ugraph.BatchLanes, 4 * ugraph.BatchLanes:
+	case 0, 1, ugraph.BatchLanes, ugraph.MaxBatchLanes:
 	default:
-		return fmt.Errorf("%w: %d (want auto=0, 1, 64, 128 or 256)", ErrLaneWidth, o.Lanes)
-	}
-	if o.Scalar && o.Lanes > 1 {
-		return fmt.Errorf("%w: Scalar contradicts Lanes %d", ErrLaneWidth, o.Lanes)
+		return fmt.Errorf("%w: %d (want auto=0, 1, 64 or 256)", ErrLaneWidth, o.Lanes)
 	}
 	if o.FanOut < 0 || o.FanOut > MaxFanOut {
 		return fmt.Errorf("%w: %d (want auto=0, 1, or 2..%d)", ErrSourceFanOut, o.FanOut, MaxFanOut)
 	}
 	if o.Target != nil {
-		if o.Scalar || o.Lanes == 1 {
-			return fmt.Errorf("%w: remove the Scalar/Lanes:1 ablation or the Target", ErrScalarTarget)
+		if o.Lanes == 1 {
+			return fmt.Errorf("%w: remove the Lanes: 1 ablation or the Target", ErrScalarTarget)
 		}
 		if err := o.Target.validate(); err != nil {
 			return err
@@ -133,25 +125,22 @@ func (o Options) WithDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = defaultWorkers()
 	}
-	if o.Scalar && o.Lanes == 0 {
-		o.Lanes = 1
-	}
 	return o
 }
 
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // ParseLanes resolves a -lanes flag value: "auto" (or "") is the planner,
-// "1" the scalar ablation, "64"/"128"/"256" the explicit batch widths.
+// "1" the scalar ablation, "64"/"256" the explicit batch widths.
 func ParseLanes(s string) (int, error) {
 	switch s {
 	case "", "auto":
 		return 0, nil
-	case "1", "64", "128", "256":
+	case "1", "64", "256":
 		n, _ := strconv.Atoi(s)
 		return n, nil
 	}
-	return 0, fmt.Errorf("%w: %q (want auto, 1, 64, 128 or 256)", ErrLaneWidth, s)
+	return 0, fmt.Errorf("%w: %q (want auto, 1, 64 or 256)", ErrLaneWidth, s)
 }
 
 // FormatLanes is the inverse of ParseLanes.

@@ -123,7 +123,7 @@ func TestAdaptiveDeterministicAcrossWorkersAndWidths(t *testing.T) {
 	}
 	ref := run(1, 64)
 	for _, workers := range []int{1, 4, 8} {
-		for _, lanes := range []int{0, 64, 128, 256} {
+		for _, lanes := range []int{0, 64, 256} {
 			if got := run(workers, lanes); got != ref {
 				t.Fatalf("workers=%d lanes=%d: %+v != reference %+v", workers, lanes, got, ref)
 			}
@@ -175,46 +175,11 @@ func TestEstimatorsRejectInvalidOptions(t *testing.T) {
 	if _, err := ConnectedProbability(bg(), g, mc.Options{Lanes: 7}); !errors.Is(err, mc.ErrLaneWidth) {
 		t.Errorf("ConnectedProbability(Lanes: 7) err = %v, want ErrLaneWidth", err)
 	}
-	bad := mc.Options{Scalar: true, Target: mc.WithConfidence(0.05, 0.05)}
+	bad := mc.Options{Lanes: 1, Target: mc.WithConfidence(0.05, 0.05)}
 	if _, _, err := ReliabilityRun(bg(), g, pairs, bad); !errors.Is(err, mc.ErrScalarTarget) {
-		t.Errorf("ReliabilityRun(Scalar+Target) err = %v, want ErrScalarTarget", err)
+		t.Errorf("ReliabilityRun(Lanes: 1+Target) err = %v, want ErrScalarTarget", err)
 	}
 	if _, _, err := ConnectedProbabilityRun(bg(), g, mc.Options{Target: mc.WithConfidence(2, 0.05)}); !errors.Is(err, mc.ErrConfidence) {
 		t.Errorf("ConnectedProbabilityRun(eps=2) err = %v, want ErrConfidence", err)
-	}
-}
-
-// TestPlannerWidths pins the planner's structural decisions (the timing
-// probe only picks among the wide widths, which are bit-identical anyway):
-// vector queries and tiny budgets are scalar, budgets within one word stay
-// at 64 lanes, explicit choices pass through, and large budgets get a wide
-// width.
-func TestPlannerWidths(t *testing.T) {
-	g := diamond(0.5)
-	cases := []struct {
-		name string
-		opts mc.Options
-		kind Kind
-		want func(int) bool
-	}{
-		{"vector always scalar", mc.Options{Samples: 5000}, KindVector, func(l int) bool { return l == 1 }},
-		{"explicit scalar", mc.Options{Scalar: true, Samples: 5000}, KindPair, func(l int) bool { return l == 1 }},
-		{"explicit 128", mc.Options{Lanes: 128, Samples: 10}, KindPair, func(l int) bool { return l == 128 }},
-		{"tiny budget scalar", mc.Options{Samples: 4}, KindPair, func(l int) bool { return l == 1 }},
-		{"one-word budget", mc.Options{Samples: 50}, KindConnectivity, func(l int) bool { return l == 64 }},
-		{"large budget goes wide", mc.Options{Samples: 5000}, KindPair, func(l int) bool { return l == 64 || l == 128 || l == 256 }},
-		{"adaptive goes wide", mc.Options{Target: mc.WithConfidence(0.01, 0.05)}, KindPair, func(l int) bool { return l >= 64 }},
-	}
-	for _, c := range cases {
-		if got := PlanLanes(g, c.opts, c.kind); !c.want(got) {
-			t.Errorf("%s: PlanLanes = %d", c.name, got)
-		}
-	}
-	// The probe result is cached per graph: repeated calls agree.
-	a := PlanLanes(g, mc.Options{Samples: 5000}, KindPair)
-	for i := 0; i < 3; i++ {
-		if b := PlanLanes(g, mc.Options{Samples: 5000}, KindPair); b != a {
-			t.Fatalf("planner not stable: %d then %d", a, b)
-		}
 	}
 }

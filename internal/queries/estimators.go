@@ -82,8 +82,8 @@ func RandomPairs(n, count int, rng *rand.Rand) []Pair {
 
 // Reliability estimates, for each pair, the probability that T is reachable
 // from S (the RL query). It runs on the bit-parallel batch engine at the
-// width opts.Lanes selects (auto-planned by default) unless the scalar
-// ablation is requested; every width is bit-identical.
+// width opts.Lanes selects (auto-planned by default; Lanes: 1 is the scalar
+// ablation); every width is bit-identical.
 func Reliability(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options) ([]float64, error) {
 	out, _, err := ReliabilityRun(ctx, g, pairs, opts)
 	return out, err
@@ -126,7 +126,7 @@ func ShortestDistance(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts m
 
 // ShortestDistanceAndReliability computes the SP and RL estimates of both
 // queries from a single Monte-Carlo pass (one traversal per distinct source
-// per world batch — or per world under the scalar ablation), which is how
+// per world batch — or per world at Lanes: 1), which is how
 // the experiment harness evaluates them together.
 func ShortestDistanceAndReliability(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options) (sp, rl []float64, err error) {
 	sp, rl, _, err = ShortestDistanceAndReliabilityRun(ctx, g, pairs, opts)
@@ -197,9 +197,7 @@ func pairStats(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Optio
 	if opts.Target != nil {
 		return pairStatsAdaptive(ctx, g, pairs, opts)
 	}
-	lanes := planLanes(g, opts, KindPair)
-	fan := planFanOut(g, opts, countDistinctSources(pairs), lanes)
-	res, err := pairStatsFixed(ctx, g, pairs, opts, lanes, fan)
+	res, err := pairStatsFixed(ctx, g, pairs, opts)
 	if err != nil {
 		return nil, mc.RunInfo{}, err
 	}
@@ -216,19 +214,19 @@ func countDistinctSources(pairs []Pair) int {
 	return len(seen)
 }
 
-// pairStatsFixed dispatches one fixed-budget pass to the engine width and
-// source fan-out the planner (or explicit Options) chose: fan > 1 routes
-// through the multi-source kernels, which group distinct sources into
-// fan-sized traversal passes.
-func pairStatsFixed(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options, lanes, fan int) ([]pairResult, error) {
+// pairStatsFixed runs one fixed-budget pass at the engine width and source
+// fan-out the planner (or explicit Options) picks for its budget: fan > 1
+// routes through the multi-source kernels, which group distinct sources
+// into fan-sized traversal passes.
+func pairStatsFixed(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options) ([]pairResult, error) {
+	lanes := planLanes(opts, KindPair)
+	fan := planFanOut(opts, countDistinctSources(pairs), lanes)
 	if fan > 1 {
 		switch lanes {
 		case 1:
 			return pairStatsScalarMulti(ctx, g, pairs, opts, fan)
 		case ugraph.BatchLanes:
 			return pairStatsMulti[ugraph.Vec64](ctx, g, pairs, opts, fan)
-		case 2 * ugraph.BatchLanes:
-			return pairStatsMulti[ugraph.Vec128](ctx, g, pairs, opts, fan)
 		default:
 			return pairStatsMulti[ugraph.Vec256](ctx, g, pairs, opts, fan)
 		}
@@ -238,8 +236,6 @@ func pairStatsFixed(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.
 		return pairStatsScalar(ctx, g, pairs, opts)
 	case ugraph.BatchLanes:
 		return pairStatsBatch[ugraph.Vec64](ctx, g, pairs, opts)
-	case 2 * ugraph.BatchLanes:
-		return pairStatsBatch[ugraph.Vec128](ctx, g, pairs, opts)
 	default:
 		return pairStatsBatch[ugraph.Vec256](ctx, g, pairs, opts)
 	}
@@ -248,26 +244,19 @@ func pairStatsFixed(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.
 // pairStatsAdaptive drives the sequential-stopping schedule: each round is
 // a fixed-budget pass over the next stretch of the sample stream (via
 // Options.Offset, so no world is ever redrawn), and between rounds every
-// pair's Bernoulli reliability CI is checked against the target. The lane
-// width and source fan-out are planned once and pinned for all rounds
-// (fan-out never changes results, but pinning keeps every round on the
-// calibrated execution plan).
+// pair's Bernoulli reliability CI is checked against the target. Each
+// round is planned from its own budget, so the 128-sample opening rounds run
+// the narrow shapes and only the doubled later rounds go wide; every shape
+// returns bit-identical counts, so the plan never changes the estimate.
 func pairStatsAdaptive(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options) ([]pairResult, mc.RunInfo, error) {
 	t := opts.Target.WithDefaults()
-	lanes := planLanes(g, opts, KindPair)
-	if lanes < ugraph.BatchLanes {
-		lanes = ugraph.BatchLanes
-	}
-	fan := planFanOut(g, opts, countDistinctSources(pairs), lanes)
 	acc := make([]pairResult, len(pairs))
 	run := func(offset, n int) error {
 		o := opts
 		o.Target = nil
 		o.Offset = opts.Offset + offset
 		o.Samples = n
-		o.Lanes = lanes
-		o.FanOut = fan
-		res, err := pairStatsFixed(ctx, g, pairs, o, lanes, fan)
+		res, err := pairStatsFixed(ctx, g, pairs, o)
 		if err != nil {
 			return err
 		}
@@ -438,7 +427,7 @@ func ConnectedProbabilityRun(ctx context.Context, g *ugraph.Graph, opts mc.Optio
 	if opts.Target != nil {
 		return connectedAdaptive(ctx, g, opts)
 	}
-	st, err := connectedFixed(ctx, g, opts, planLanes(g, opts, KindConnectivity))
+	st, err := connectedFixed(ctx, g, opts)
 	if err != nil {
 		return 0, mc.RunInfo{}, err
 	}
@@ -446,8 +435,8 @@ func ConnectedProbabilityRun(ctx context.Context, g *ugraph.Graph, opts mc.Optio
 		mc.RunInfo{Samples: st.n, Rounds: 1, Converged: true}, nil
 }
 
-func connectedFixed(ctx context.Context, g *ugraph.Graph, opts mc.Options, lanes int) (*hitStats, error) {
-	switch lanes {
+func connectedFixed(ctx context.Context, g *ugraph.Graph, opts mc.Options) (*hitStats, error) {
+	switch planLanes(opts, KindConnectivity) {
 	case 1:
 		return mc.Reduce(ctx, g, opts,
 			func() *BFS { return NewBFS(g.NumVertices()) },
@@ -462,8 +451,6 @@ func connectedFixed(ctx context.Context, g *ugraph.Graph, opts mc.Options, lanes
 		)
 	case ugraph.BatchLanes:
 		return connectedBatch[ugraph.Vec64](ctx, g, opts)
-	case 2 * ugraph.BatchLanes:
-		return connectedBatch[ugraph.Vec128](ctx, g, opts)
 	default:
 		return connectedBatch[ugraph.Vec256](ctx, g, opts)
 	}
@@ -483,18 +470,13 @@ func connectedBatch[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, opts mc.
 
 func connectedAdaptive(ctx context.Context, g *ugraph.Graph, opts mc.Options) (float64, mc.RunInfo, error) {
 	t := opts.Target.WithDefaults()
-	lanes := planLanes(g, opts, KindConnectivity)
-	if lanes < ugraph.BatchLanes {
-		lanes = ugraph.BatchLanes
-	}
 	acc := hitStats{}
 	run := func(offset, n int) error {
 		o := opts
 		o.Target = nil
 		o.Offset = opts.Offset + offset
 		o.Samples = n
-		o.Lanes = lanes
-		st, err := connectedFixed(ctx, g, o, lanes)
+		st, err := connectedFixed(ctx, g, o)
 		if err != nil {
 			return err
 		}

@@ -5,8 +5,8 @@ import (
 )
 
 // MaskBFS is a reusable bit-parallel breadth-first search over the world
-// lanes of a ugraph.WorldBatch — 64, 128 or 256 lanes depending on the
-// vector width V. One level-synchronous traversal propagates a per-vertex
+// lanes of a ugraph.WorldBatch — 64 or 256 lanes depending on the vector
+// width V. One level-synchronous traversal propagates a per-vertex
 // lane mask (bit l = "reached in world l") over the graph's CSR adjacency,
 // answering connectivity, reliability and hop-distance queries for all
 // lanes at once: an edge transmits exactly the frontier lanes that contain
@@ -110,8 +110,6 @@ func (b *MaskBFS[V]) ReachFrom(wb *ugraph.WorldBatch[V], src int) []V {
 	switch bb := any(b).(type) {
 	case *MaskBFS[ugraph.Vec64]:
 		runLevels64(bb, off)
-	case *MaskBFS[ugraph.Vec128]:
-		runLevels128(bb, off)
 	case *MaskBFS[ugraph.Vec256]:
 		runLevels256(bb, off)
 	default:

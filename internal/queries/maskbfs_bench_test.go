@@ -41,7 +41,6 @@ func benchReachFrom[V ugraph.Vec](b *testing.B, g *ugraph.Graph) {
 func BenchmarkMaskBFSReachFrom(b *testing.B) {
 	g := benchGraph(b)
 	b.Run("lanes=64", func(b *testing.B) { benchReachFrom[ugraph.Vec64](b, g) })
-	b.Run("lanes=128", func(b *testing.B) { benchReachFrom[ugraph.Vec128](b, g) })
 	b.Run("lanes=256", func(b *testing.B) { benchReachFrom[ugraph.Vec256](b, g) })
 }
 
@@ -63,6 +62,5 @@ func benchFill[V ugraph.Vec](b *testing.B, g *ugraph.Graph) {
 func BenchmarkWorldBatchFill(b *testing.B) {
 	g := benchGraph(b)
 	b.Run("lanes=64", func(b *testing.B) { benchFill[ugraph.Vec64](b, g) })
-	b.Run("lanes=128", func(b *testing.B) { benchFill[ugraph.Vec128](b, g) })
 	b.Run("lanes=256", func(b *testing.B) { benchFill[ugraph.Vec256](b, g) })
 }

@@ -70,7 +70,6 @@ func TestMaskBFSMatchesScalarBFSPerLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 8; trial++ {
 		checkMaskBFSPerLane[ugraph.Vec64](t, rng, trial)
-		checkMaskBFSPerLane[ugraph.Vec128](t, rng, trial)
 		checkMaskBFSPerLane[ugraph.Vec256](t, rng, trial)
 	}
 }
@@ -104,7 +103,6 @@ func TestMaskBFSConnectedLanesMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 8; trial++ {
 		checkConnectedLanes[ugraph.Vec64](t, rng, trial)
-		checkConnectedLanes[ugraph.Vec128](t, rng, trial)
 		checkConnectedLanes[ugraph.Vec256](t, rng, trial)
 	}
 }
@@ -137,7 +135,7 @@ func TestMaskBFSZeroSteadyStateAllocs(t *testing.T) {
 }
 
 // TestBatchScalarEquivalence is the engine-level contract of the PR: every
-// mask-BFS batch width (64, 128, 256 and the auto-planned one) and the
+// mask-BFS batch width (64, 256 and the auto-planned one) and the
 // per-world scalar path must produce bit-identical estimates for
 // Reliability, ShortestDistance and ConnectedProbability on the same seeds,
 // across worker counts and for sample counts not divisible by the lane
@@ -148,7 +146,7 @@ func TestBatchScalarEquivalence(t *testing.T) {
 	pairs := RandomPairs(g.NumVertices(), 25, rng)
 	for _, samples := range []int{1, 50, 64, 100, 130, 257} {
 		for _, workers := range []int{1, 8} {
-			scalar := mc.Options{Samples: samples, Seed: 77, Workers: workers, Scalar: true}
+			scalar := mc.Options{Samples: samples, Seed: 77, Workers: workers, Lanes: 1}
 			rlS, err := Reliability(bg(), g, pairs, scalar)
 			if err != nil {
 				t.Fatal(err)
@@ -161,7 +159,7 @@ func TestBatchScalarEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, lanes := range []int{0, 64, 128, 256} {
+			for _, lanes := range []int{0, 64, 256} {
 				base := mc.Options{Samples: samples, Seed: 77, Workers: workers, Lanes: lanes}
 
 				rlB, err := Reliability(bg(), g, pairs, base)
@@ -307,7 +305,6 @@ func TestMaskBFSSpecializedMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	for trial := 0; trial < 10; trial++ {
 		checkSpecializedMatchesGeneric[ugraph.Vec64](t, rng, trial)
-		checkSpecializedMatchesGeneric[ugraph.Vec128](t, rng, trial)
 		checkSpecializedMatchesGeneric[ugraph.Vec256](t, rng, trial)
 	}
 }

@@ -6,13 +6,13 @@ import (
 	"ugs/internal/ugraph"
 )
 
-// Width-specialized level loops for the wide mask-BFS kernels.
+// Width-specialized level loops for the mask-BFS kernels.
 //
 // Go's SSA backend registerizes arrays only up to one element, so the
 // generic runLevels — where every vector op collapses to a single register
-// word at Vec64 — degrades badly at Vec128/Vec256: each VecFrontier/VecOr
-// round-trips its [2]uint64 or [4]uint64 operands through the stack, three
-// array copies per arc on the hottest line of the engine. These loops are
+// word at Vec64 — degrades badly at Vec256: each VecFrontier/VecOr
+// round-trips its [4]uint64 operands through the stack, three array copies
+// per arc on the hottest line of the engine. These loops are
 // line-for-line transcriptions of runLevels with the frontier words held in
 // scalar locals and the per-arc state accessed through pointers, which is
 // what the compiler needs to keep the whole inner loop in registers. They
@@ -76,79 +76,6 @@ func runLevels64(b *MaskBFS[ugraph.Vec64], off []int32) {
 				reach[v][0] |= n0
 				depthSum[v] += int64(depth) * int64(bits.OnesCount64(n0))
 				cur[v] = ugraph.Vec64{n0}
-			}
-		}
-		curQ, nextQ = nextQ, curQ[:0]
-	}
-	b.curQ, b.nextQ = curQ[:0], nextQ[:0]
-}
-
-func runLevels128(b *MaskBFS[ugraph.Vec128], off []int32) {
-	arcs := b.arcs
-	reach, cur, next, depthSum := b.reach, b.cur, b.next, b.depthSum
-	curQ, nextQ := b.curQ, b.nextQ
-	n := len(reach)
-	depth := 0
-	for len(curQ) > 0 {
-		depth++
-		vol := 0
-		for _, ui := range curQ {
-			vol += int(off[ui+1] - off[ui])
-		}
-		nextQ = nextQ[:0]
-		if vol >= n/8 {
-			for _, ui := range curQ {
-				u := int(ui)
-				f0, f1 := cur[u][0], cur[u][1]
-				cur[u] = ugraph.Vec128{}
-				for j := off[u]; j < off[u+1]; j++ {
-					a := &arcs[j]
-					v := a.to
-					r := &reach[v]
-					nx := &next[v]
-					nx[0] |= f0 & a.mask[0] &^ r[0]
-					nx[1] |= f1 & a.mask[1] &^ r[1]
-				}
-			}
-			for v := range next {
-				n0, n1 := next[v][0], next[v][1]
-				if n0|n1 != 0 {
-					next[v] = ugraph.Vec128{}
-					reach[v][0] |= n0
-					reach[v][1] |= n1
-					depthSum[v] += int64(depth) * int64(bits.OnesCount64(n0)+bits.OnesCount64(n1))
-					cur[v] = ugraph.Vec128{n0, n1}
-					nextQ = append(nextQ, int32(v))
-				}
-			}
-		} else {
-			for _, ui := range curQ {
-				u := int(ui)
-				f0, f1 := cur[u][0], cur[u][1]
-				cur[u] = ugraph.Vec128{}
-				for j := off[u]; j < off[u+1]; j++ {
-					a := &arcs[j]
-					v := a.to
-					r := &reach[v]
-					m0 := f0 & a.mask[0] &^ r[0]
-					m1 := f1 & a.mask[1] &^ r[1]
-					nx := &next[v]
-					p0, p1 := nx[0], nx[1]
-					nx[0] = p0 | m0
-					nx[1] = p1 | m1
-					if p0|p1 == 0 && m0|m1 != 0 {
-						nextQ = append(nextQ, int32(v))
-					}
-				}
-			}
-			for _, vi := range nextQ {
-				v := int(vi)
-				n0, n1 := next[v][0], next[v][1] // disjoint from reach[v]: masked at insertion
-				next[v] = ugraph.Vec128{}
-				reach[v][0] |= n0
-				reach[v][1] |= n1
-				depthSum[v] += int64(depth) * int64(bits.OnesCount64(n0)+bits.OnesCount64(n1))
-				cur[v] = ugraph.Vec128{n0, n1}
 			}
 		}
 		curQ, nextQ = nextQ, curQ[:0]

@@ -69,34 +69,18 @@ func (b *MSBFS[V]) ReachFrom(wb *ugraph.WorldBatch[V], srcs []int) {
 	// Same registerization story as MaskBFS.ReachFrom, with the group size
 	// as a second specialization axis: the generic slot loop re-loads every
 	// frontier word from memory per arc and pays a bounds check per slot,
-	// so the planner-preferred (width, fan) combinations dispatch to
-	// hand-specialized level loops (msbfs_wide.go) that view each vertex's
-	// record as a fixed-size array and hold the whole frontier group in
-	// scalar locals across the arc loop. Other group sizes fall back to the
+	// so the 64-lane groups of 4 and 8 sources dispatch to hand-specialized
+	// level loops (msbfs_wide.go) that view each vertex's record as a
+	// fixed-size array and hold the whole frontier group in scalar locals
+	// across the arc loop. Every other (width, group) shape runs the
 	// generic reference loop, which is also what
 	// TestMSBFSSpecializedMatchesGeneric replays against each kernel.
-	switch bb := any(b).(type) {
-	case *MSBFS[ugraph.Vec64]:
-		switch b.group {
-		case 4:
-			runLevelsMS64x4(bb, off)
-		case 8:
-			runLevelsMS64x8(bb, off)
-		default:
-			b.runLevels(off)
-		}
-	case *MSBFS[ugraph.Vec128]:
-		if b.group == 4 {
-			runLevelsMS128x4(bb, off)
-		} else {
-			b.runLevels(off)
-		}
-	case *MSBFS[ugraph.Vec256]:
-		if b.group == 2 {
-			runLevelsMS256x2(bb, off)
-		} else {
-			b.runLevels(off)
-		}
+	bb, ok := any(b).(*MSBFS[ugraph.Vec64])
+	switch {
+	case ok && b.group == 4:
+		runLevelsMS64x4(bb, off)
+	case ok && b.group == 8:
+		runLevelsMS64x8(bb, off)
 	default:
 		b.runLevels(off)
 	}

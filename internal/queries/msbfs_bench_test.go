@@ -53,7 +53,6 @@ func BenchmarkMSBFSReachFrom(b *testing.B) {
 		run  func(b *testing.B, fan, nsrc int)
 	}{
 		{"lanes=64", func(b *testing.B, fan, nsrc int) { benchMSReachFrom[ugraph.Vec64](b, g, fan, nsrc) }},
-		{"lanes=128", func(b *testing.B, fan, nsrc int) { benchMSReachFrom[ugraph.Vec128](b, g, fan, nsrc) }},
 		{"lanes=256", func(b *testing.B, fan, nsrc int) { benchMSReachFrom[ugraph.Vec256](b, g, fan, nsrc) }},
 	} {
 		for _, fan := range []int{1, 4, 8, 16, 32} {

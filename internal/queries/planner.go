@@ -1,12 +1,8 @@
 package queries
 
 import (
-	"sync"
-	"time"
-
-	"ugs/internal/ugraph"
-
 	"ugs/internal/mc"
+	"ugs/internal/ugraph"
 )
 
 // Kind classifies a query for the execution planner: pair queries
@@ -26,248 +22,86 @@ const (
 	KindVector
 )
 
-// Planner picks the lane width for estimator runs whose Options leave it to
-// automatic (Lanes: 0). The choice is a pure execution decision — every
-// width returns bit-identical estimates — so the planner optimizes
-// throughput only: vector kinds are forced scalar, tiny budgets skip batch
-// setup, small fixed budgets stay at one machine word, and large budgets go
-// to whichever wide width a one-time per-graph calibration probe measures
-// fastest (wider lanes amortize traversal control flow but touch more
-// bytes per arc, so the winner is a property of the graph's size and
-// structure, not a constant).
-type Planner struct {
-	mu    sync.Mutex
-	plans map[*ugraph.Graph]int
-	fans  map[fanPlanKey]int
-}
+// The engine shape an automatic run takes is a fixed rule over the query
+// kind, the sample budget and the distinct-source count — no timing, no
+// state, the same answer on every run. Every shape returns bit-identical
+// estimates, so the rule only trades speed, and it picks the shape that
+// measured fastest (or close to it) across the committed graphs and the
+// s10k/s100k social graphs (BenchmarkPlannerGrid):
+//
+//   - pair queries with at least wideBudget samples run 256 lanes, one
+//     source per traversal: wide vectors amortize per-arc control flow over
+//     more worlds once the budget fills them;
+//   - smaller pair budgets run 64 lanes and group groupFanOut sources per
+//     traversal when there are that many, amortizing the arc stream across
+//     sources instead;
+//   - connectivity runs 64 lanes: one traversal per batch leaves it
+//     fill-bound, where wider vectors gain nothing.
+const (
+	// wideBudget is the smallest pair-query budget that runs at 256 lanes.
+	wideBudget = 384
+	// groupFanOut is the source group size of auto-planned 64-lane pair
+	// queries with at least that many distinct sources.
+	groupFanOut = 8
+)
 
-// fanPlanKey caches fan-out calibrations per (graph, lane width): the
-// trade-off between per-source and grouped traversals depends on how much
-// per-arc mask work a lane width does relative to the shared arc stream.
-type fanPlanKey struct {
-	g     *ugraph.Graph
-	lanes int
-}
-
-// DefaultPlanner serves every run that does not carry its own planner.
-var DefaultPlanner = &Planner{}
-
-// probeRounds is how many fill+traversal rounds the calibration probe times
-// per width. Two rounds keep the probe under a dozen traversals total while
-// stepping past first-touch cache effects.
-const probeRounds = 2
-
-// planLanes resolves the lane width an estimator run will execute at: the
-// explicit Options choice when one was made (Scalar / Lanes), otherwise the
-// planner's pick for this graph, query kind and sample budget. The result
-// is always one of 1, 64, 128, 256. opts must have passed Validate.
-func planLanes(g *ugraph.Graph, opts mc.Options, kind Kind) int {
-	if kind == KindVector || opts.Scalar || opts.Lanes == 1 {
+// planLanes resolves the lane width a fixed-budget pass will execute at: the
+// explicit Options.Lanes when one was set, otherwise the rule above applied
+// to opts.Samples. Adaptive runs plan each round as such a pass, from the
+// round's own budget; opts.Target does not enter the rule. The result is
+// always one of 1, 64, 256. opts must have passed Validate.
+func planLanes(opts mc.Options, kind Kind) int {
+	if kind == KindVector || opts.Lanes == 1 {
 		return 1
 	}
 	if opts.Lanes != 0 {
 		return opts.Lanes
 	}
-	samples := opts.WithDefaults().Samples
-	if opts.Target != nil {
-		samples = opts.Target.WithDefaults().MaxSamples
-	}
-	// A batch fill costs one pass over the edge list regardless of how many
-	// lanes are active; a handful of worlds is cheaper drawn scalar.
-	if samples <= 8 {
+	switch samples := opts.WithDefaults().Samples; {
+	case samples <= 8:
+		// A batch fill costs one pass over the edge list regardless of how
+		// many lanes are active; a handful of worlds is cheaper drawn scalar.
 		return 1
-	}
-	// One word of lanes already covers the whole budget: wider vectors
-	// would traverse mostly-inactive lanes.
-	if samples <= ugraph.BatchLanes {
+	case kind == KindPair && samples >= wideBudget:
+		return 4 * ugraph.BatchLanes
+	default:
 		return ugraph.BatchLanes
 	}
-	return DefaultPlanner.wideLanes(g)
 }
 
 // PlanLanes reports the width planLanes would choose — the introspection
-// hook behind the serve stats and the README decision table.
-func PlanLanes(g *ugraph.Graph, opts mc.Options, kind Kind) int {
-	return planLanes(g, opts, kind)
+// hook behind the benchmark harness and the README decision table. The
+// graph does not enter the rule.
+func PlanLanes(_ *ugraph.Graph, opts mc.Options, kind Kind) int {
+	return planLanes(opts, kind)
 }
 
-// wideLanes returns the calibrated wide width (64, 128 or 256) for g,
-// probing on first use and caching per graph.
-func (p *Planner) wideLanes(g *ugraph.Graph) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if lanes, ok := p.plans[g]; ok {
-		return lanes
-	}
-	lanes := calibrate(g)
-	if p.plans == nil {
-		p.plans = map[*ugraph.Graph]int{}
-	}
-	p.plans[g] = lanes
-	return lanes
-}
-
-// calibrate times one fill + one source-0 traversal per width on the actual
-// graph and returns the width with the lowest per-world cost. The probe is
-// a few O(|E|) passes — noise on tiny graphs is harmless because every
-// width gives identical results — and runs once per (planner, graph).
-func calibrate(g *ugraph.Graph) int {
-	best, bestCost := ugraph.BatchLanes, probeWidth[ugraph.Vec64](g)
-	if c := probeWidth[ugraph.Vec128](g); c < bestCost {
-		best, bestCost = 2*ugraph.BatchLanes, c
-	}
-	if c := probeWidth[ugraph.Vec256](g); c < bestCost {
-		best = 4 * ugraph.BatchLanes
-	}
-	return best
-}
-
-// probeWidth measures the per-world cost of the batch engine at width V on
-// g: fill a full batch and traverse it from vertex 0, amortized over the
-// lane count.
-func probeWidth[V ugraph.Vec](g *ugraph.Graph) time.Duration {
-	lanes := ugraph.VecLanes[V]()
-	seeds := make([]int64, lanes)
-	for i := range seeds {
-		seeds[i] = int64(i + 1)
-	}
-	wb := ugraph.NewWorldBatch[V](g)
-	bfs := NewMaskBFS[V](g.NumVertices())
-	start := time.Now()
-	for r := 0; r < probeRounds; r++ {
-		ugraph.SampleBatchSeeded(g, seeds, wb)
-		bfs.ReachFrom(wb, 0)
-	}
-	return time.Since(start) / time.Duration(probeRounds*lanes)
-}
-
-// planFanOut resolves the source group size a pair-estimator run uses:
-// the explicit Options.FanOut when one was set, otherwise the planner's
-// calibrated pick for this graph and lane width. The result is clamped to
-// the number of distinct sources (a single-source query never pays group
-// overhead) and is always in 1..mc.MaxFanOut. Like the lane width, fan-out
-// is a pure execution decision — per-pair results are bit-identical across
-// every value. opts must have passed Validate.
-func planFanOut(g *ugraph.Graph, opts mc.Options, distinct, lanes int) int {
+// planFanOut resolves the source group size a pair-estimator run uses: the
+// explicit Options.FanOut when one was set, otherwise the full 64-source
+// mask on scalar worlds (the grouped BFS walks each present arc of a level
+// once for the whole group, so sharing always amortizes), groupFanOut at 64
+// lanes and one source per traversal at 256. The result is clamped to the
+// number of distinct sources and is always in 1..mc.MaxFanOut. Like the
+// lane width, fan-out is a pure execution decision — per-pair results are
+// bit-identical across every value. opts must have passed Validate.
+func planFanOut(opts mc.Options, distinct, lanes int) int {
 	fan := opts.FanOut
 	if fan == 0 {
-		if distinct < 2 {
-			return 1
-		}
-		if lanes == 1 {
-			// Scalar worlds: the grouped BFS walks each present arc of a
-			// level once for all sources in the group at the cost of one
-			// extra mask word per vertex, so sharing always amortizes —
-			// take the full 64-source mask.
+		switch lanes {
+		case 1:
 			fan = mc.MaxFanOut
-		} else {
-			fan = DefaultPlanner.fanOut(g, lanes)
+		case ugraph.BatchLanes:
+			if distinct >= groupFanOut {
+				fan = groupFanOut
+			}
 		}
 	}
-	if fan > distinct {
-		fan = distinct
-	}
-	if fan < 1 {
-		fan = 1
-	}
-	return fan
+	return max(min(fan, distinct), 1)
 }
 
 // PlanFanOut reports the group size planFanOut would choose for a query
 // with the given number of distinct sources — the introspection hook behind
-// the serve stats and tests.
-func PlanFanOut(g *ugraph.Graph, opts mc.Options, distinct int, kind Kind) int {
-	return planFanOut(g, opts, distinct, planLanes(g, opts, kind))
-}
-
-// fanSizes lists, per lane width, the group sizes the fan-out probe tries
-// against the per-source baseline — exactly the sizes msbfs_wide.go carries
-// a hand-specialized kernel for, since the generic slot loop never beats
-// per-source traversals at wide widths.
-var fanSizes = map[int][]int{
-	ugraph.BatchLanes:     {4, 8},
-	2 * ugraph.BatchLanes: {4},
-	4 * ugraph.BatchLanes: {2},
-}
-
-// fanOut returns the calibrated source group size for (g, lanes), probing
-// on first use and caching per (graph, width).
-func (p *Planner) fanOut(g *ugraph.Graph, lanes int) int {
-	key := fanPlanKey{g: g, lanes: lanes}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if fan, ok := p.fans[key]; ok {
-		return fan
-	}
-	var fan int
-	switch lanes {
-	case ugraph.BatchLanes:
-		fan = probeFanOut[ugraph.Vec64](g, fanSizes[lanes])
-	case 2 * ugraph.BatchLanes:
-		fan = probeFanOut[ugraph.Vec128](g, fanSizes[lanes])
-	default:
-		fan = probeFanOut[ugraph.Vec256](g, fanSizes[4*ugraph.BatchLanes])
-	}
-	if p.fans == nil {
-		p.fans = map[fanPlanKey]int{}
-	}
-	p.fans[key] = fan
-	return fan
-}
-
-// probeFanOut times, on one filled batch of the actual graph, a sweep of
-// per-source traversals against multi-source passes at each candidate group
-// size, from sources spread across the vertex range. Like the width probe
-// it is a handful of O(|E|) passes that runs once per (planner, graph,
-// width); a noisy pick is harmless because every fan-out gives identical
-// results.
-func probeFanOut[V ugraph.Vec](g *ugraph.Graph, sizes []int) int {
-	n := g.NumVertices()
-	nsrc := 16
-	if nsrc > n {
-		nsrc = n
-	}
-	if nsrc < 2 {
-		return 1
-	}
-	srcs := make([]int, nsrc)
-	for i := range srcs {
-		srcs[i] = i * n / nsrc
-	}
-	lanes := ugraph.VecLanes[V]()
-	seeds := make([]int64, lanes)
-	for i := range seeds {
-		seeds[i] = int64(i + 1)
-	}
-	wb := ugraph.NewWorldBatch[V](g)
-	ugraph.SampleBatchSeeded(g, seeds, wb)
-
-	single := NewMaskBFS[V](n)
-	start := time.Now()
-	for r := 0; r < probeRounds; r++ {
-		for _, s := range srcs {
-			single.ReachFrom(wb, s)
-		}
-	}
-	bestFan, bestCost := 1, time.Since(start)
-	for _, fan := range sizes {
-		if fan > nsrc {
-			break
-		}
-		ms := NewMSBFS[V](n, fan)
-		start = time.Now()
-		for r := 0; r < probeRounds; r++ {
-			for base := 0; base < nsrc; base += fan {
-				end := base + fan
-				if end > nsrc {
-					end = nsrc
-				}
-				ms.ReachFrom(wb, srcs[base:end])
-			}
-		}
-		if c := time.Since(start); c < bestCost {
-			bestFan, bestCost = fan, c
-		}
-	}
-	return bestFan
+// the benchmark harness and tests.
+func PlanFanOut(_ *ugraph.Graph, opts mc.Options, distinct int, kind Kind) int {
+	return planFanOut(opts, distinct, planLanes(opts, kind))
 }

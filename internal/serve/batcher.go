@@ -16,8 +16,8 @@ import (
 // lists and evaluates them in ONE ShortestDistanceAndReliability run — one
 // mc.ReduceBatch pass whose WorldBatch fills and traversals are shared by
 // every rider. Both amortization axes of the engine therefore work across
-// requests, not just within one: each traversal answers 64, 128 or 256
-// worlds at once (lanes), and the multi-source kernels walk one shared
+// requests, not just within one: each traversal answers 64 or 256 worlds
+// at once (lanes), and the multi-source kernels walk one shared
 // frontier for a whole group of the merged flight's distinct sources
 // (fan-out), so riders contributing different sources still split the cost
 // of one arc stream.

@@ -50,7 +50,7 @@ type Config struct {
 	ConvertDir string
 	// Lanes is the default bit-parallel engine width for queries that do
 	// not set "lanes" themselves: 0 = the planner (auto), 1 = the scalar
-	// ablation, 64/128/256 = explicit WorldBatch widths.
+	// ablation, 64/256 = explicit WorldBatch widths.
 	Lanes int
 	// FanOut is the default source group size for pair queries that do
 	// not set "fan_out" themselves: 0 = the planner (auto), 1 = one
@@ -549,9 +549,9 @@ type QueryRequest struct {
 	Samples int   `json:"samples,omitempty"`
 	Seed    int64 `json:"seed,omitempty"`
 	// Lanes selects the engine width: "auto" (the planner), "1" (the
-	// scalar ablation), "64", "128" or "256". Empty uses the server
-	// default. The width is an execution choice only — estimates are
-	// bit-identical across all of them.
+	// scalar ablation), "64" or "256". Empty uses the server default. The
+	// width is an execution choice only — estimates are bit-identical
+	// across all of them.
 	Lanes string `json:"lanes,omitempty"`
 	// FanOut selects how many distinct sources one pair-query traversal
 	// carries: "auto" (the planner), "1" (one traversal per source, the

@@ -382,9 +382,9 @@ func TestConcurrentLoadSmoke(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				// Adaptive and per-vertex queries exercise the planner
-				// calibration probe and the world-cache under concurrency;
-				// adaptive results must be as deterministic as fixed ones.
+				// Adaptive and per-vertex queries exercise the planned wide
+				// shape and the world-cache under concurrency; adaptive
+				// results must be as deterministic as fixed ones.
 				var adp QueryResponse
 				err = post("/v1/query", map[string]any{
 					"graph": "g", "kind": "reliability", "pairs": reqPairs, "seed": seed,
@@ -516,7 +516,7 @@ func TestQueryLanesAreBitIdentical(t *testing.T) {
 	if w := do(t, s, "POST", "/v1/query", base, &ref); w.Code != 200 {
 		t.Fatalf("base query: %d %s", w.Code, w.Body.String())
 	}
-	for _, lanes := range []string{"auto", "1", "64", "128", "256"} {
+	for _, lanes := range []string{"auto", "1", "64", "256"} {
 		body := map[string]any{"graph": "g", "kind": "reliability", "pairs": reqPairs, "samples": 192, "seed": 3, "lanes": lanes}
 		var resp QueryResponse
 		if w := do(t, s, "POST", "/v1/query", body, &resp); w.Code != 200 {
@@ -534,11 +534,16 @@ func TestQueryLanesAreBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	bad := map[string]any{"graph": "g", "kind": "reliability", "pairs": reqPairs, "lanes": "97"}
-	if w := do(t, s, "POST", "/v1/query", bad, nil); w.Code != 400 {
-		t.Errorf("lanes=97: %d, want 400", w.Code)
+	for _, lanes := range []string{"97", "128"} {
+		bad := map[string]any{"graph": "g", "kind": "reliability", "pairs": reqPairs, "lanes": lanes}
+		w := do(t, s, "POST", "/v1/query", bad, nil)
+		if w.Code != 400 {
+			t.Errorf("lanes=%s: %d, want 400", lanes, w.Code)
+		} else if env := decodeEnvelope(t, w); env.Code != CodeBadRequest {
+			t.Errorf("lanes=%s: code %q, want %q", lanes, env.Code, CodeBadRequest)
+		}
 	}
-	bad = map[string]any{"graph": "g", "kind": "connected", "lanes": "1", "confidence": map[string]any{"eps": 0.05}}
+	bad := map[string]any{"graph": "g", "kind": "connected", "lanes": "1", "confidence": map[string]any{"eps": 0.05}}
 	if w := do(t, s, "POST", "/v1/query", bad, nil); w.Code != 400 {
 		t.Errorf("scalar lanes + confidence: %d, want 400", w.Code)
 	}

@@ -50,6 +50,7 @@ type Store struct {
 	quarRejects   int64
 	evictions     int64
 	conversions   int64
+	compactFails  int64
 	patches       int64
 	convertDir    string
 	ownsConvert   bool
@@ -406,29 +407,34 @@ func (s *Store) Patch(ctx context.Context, name string, edits []ugs.EdgeEdit, ex
 }
 
 // compactEntry rewrites an entry's backing sidecar at generation gen and
-// resets its patch log, bounding future reload-replay work. Failures are
-// silently tolerated: the old base + log remain a valid reconstruction. The
-// swap is abandoned if the entry moved on (replaced, or patched again —
-// whichever patch crosses the threshold next re-compacts).
+// resets its patch log, bounding future reload-replay work. A failure to
+// create the convert directory, write the sidecar or stat it is counted
+// (StoreStats.CompactionFailures) and otherwise tolerated: the old base +
+// log remain a valid reconstruction. The swap is abandoned uncounted if the
+// entry moved on (replaced, or patched again — whichever patch crosses the
+// threshold next re-compacts).
 func (s *Store) compactEntry(name string, e *storeEntry, g *ugs.Graph, gen int) {
 	s.mu.Lock()
-	dir, derr := s.convertDirLocked()
+	dir, err := s.convertDirLocked()
+	if err != nil {
+		s.compactFails++
+	}
 	s.mu.Unlock()
-	if derr != nil {
+	if err != nil {
 		return
 	}
 	side := filepath.Join(dir, fmt.Sprintf("%s.g%d.ugsb", name, gen))
-	if err := ugs.WriteBinaryGraphFile(side, g); err != nil {
-		os.Remove(side)
-		return
-	}
-	fp, err := statFP(side)
-	if err != nil {
-		os.Remove(side)
-		return
+	var fp fileFP
+	if err = ugs.WriteBinaryGraphFile(side, g); err == nil {
+		fp, err = statFP(side)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err != nil {
+		s.compactFails++
+		os.Remove(side)
+		return
+	}
 	if s.closed || s.entries[name] != e || e.gen != gen {
 		os.Remove(side)
 		return
@@ -920,6 +926,9 @@ type StoreStats struct {
 	LoadFailures  int64 `json:"load_failures"`
 	Evictions     int64 `json:"evictions"`
 	Conversions   int64 `json:"conversions"`
+	// CompactionFailures counts patch-log compactions abandoned because the
+	// sidecar could not be written; the graph keeps its base file + log.
+	CompactionFailures int64 `json:"compaction_failures"`
 	// Patches counts applied edit batches across all graphs.
 	Patches int64 `json:"patches"`
 	// Quarantined counts names currently under load-failure backoff;
@@ -933,15 +942,16 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := StoreStats{
-		Registered:        len(s.entries),
-		ResidentBytes:     s.residentBytes,
-		BudgetBytes:       s.cfg.BudgetBytes,
-		Loads:             s.loads,
-		LoadFailures:      s.loadFailures,
-		Evictions:         s.evictions,
-		Conversions:       s.conversions,
-		Patches:           s.patches,
-		QuarantineRejects: s.quarRejects,
+		Registered:         len(s.entries),
+		ResidentBytes:      s.residentBytes,
+		BudgetBytes:        s.cfg.BudgetBytes,
+		Loads:              s.loads,
+		LoadFailures:       s.loadFailures,
+		Evictions:          s.evictions,
+		Conversions:        s.conversions,
+		CompactionFailures: s.compactFails,
+		Patches:            s.patches,
+		QuarantineRejects:  s.quarRejects,
 	}
 	now := s.now()
 	for _, e := range s.entries {

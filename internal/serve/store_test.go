@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -273,6 +274,57 @@ func TestStoreUploadSpillEvictable(t *testing.T) {
 	}
 	if s.Stats().Evictions == 0 {
 		t.Fatal("expected evictions under budget pressure")
+	}
+}
+
+// TestStoreCompactionFailureCounted: when the patch-log compaction cannot
+// write its sidecar (here the convert directory sits under a regular file),
+// the failure is counted and the graph is still served at its patched
+// version from the old base file + log.
+func TestStoreCompactionFailureCounted(t *testing.T) {
+	dir, _ := writeUgsbDir(t, 1)
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(StoreConfig{ConvertDir: filepath.Join(blocker, "convert")})
+	t.Cleanup(func() { s.Close() })
+	if _, err := s.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	g, _, release, err := s.Acquire("g0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := []ugs.Edge{g.Edge(0), g.Edge(1), g.Edge(2), g.Edge(3)}
+	release()
+	for i, e := range edges {
+		if _, _, err := s.Patch(context.Background(), "g0", []ugs.EdgeEdit{
+			{Op: ugs.EditReweight, U: e.U, V: e.V, P: 0.5},
+		}, 0); err != nil {
+			t.Fatalf("patch %d: %v", i+1, err)
+		}
+	}
+	if got := s.Stats().CompactionFailures; got != 1 {
+		t.Errorf("compaction failures %d, want 1", got)
+	}
+	// Evict and reload: the patched version must come back from the base
+	// file + the log the failed compaction left in place.
+	s.mu.Lock()
+	s.dropResidentLocked(s.entries["g0"])
+	s.mu.Unlock()
+	pg, id, release, err := s.Acquire("g0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if id != "g0@5" {
+		t.Errorf("id %q, want g0@5", id)
+	}
+	for _, e := range edges {
+		if eid, ok := pg.EdgeID(e.U, e.V); !ok || pg.Prob(eid) != 0.5 {
+			t.Errorf("edge (%d,%d) lost its patch", e.U, e.V)
+		}
 	}
 }
 

@@ -4,26 +4,24 @@ import "math/bits"
 
 // Vec is the word-vector type behind the variable-width bit-parallel world
 // engine: an array of machine words carrying one world lane per bit, so
-// [1]uint64 is the 64-lane engine, [2]uint64 the 128-lane one and [4]uint64
-// the 256-lane one. Lane l lives in bit l%64 of word l/64 — a V-wide batch
-// is laid out exactly like len(V) consecutive 64-lane batches interleaved
-// per edge, which is what lets width-agnostic caches (FillCache) serve every
-// width from the same 64-lane blocks.
+// [1]uint64 is the 64-lane engine and [4]uint64 the 256-lane one. Lane l
+// lives in bit l%64 of word l/64 — a V-wide batch is laid out exactly like
+// len(V) consecutive 64-lane batches interleaved per edge, which is what
+// lets width-agnostic caches (FillCache) serve every width from the same
+// 64-lane blocks.
 //
 // The helpers below are the whole-vector bit operations the traversal
 // kernels are written against; each instantiates to straight-line word ops
 // with no loops or branches at the widths in the constraint.
 type Vec interface {
-	[1]uint64 | [2]uint64 | [4]uint64
+	[1]uint64 | [4]uint64
 }
 
-// The three engine widths. Aliases, not defined types, so vector literals
+// The two engine widths. Aliases, not defined types, so vector literals
 // and plain array indexing interoperate freely with the generic kernels.
 type (
 	// Vec64 is the one-word, 64-lane vector (the PR 4 engine width).
 	Vec64 = [1]uint64
-	// Vec128 is the two-word, 128-lane vector.
-	Vec128 = [2]uint64
 	// Vec256 is the four-word, 256-lane vector.
 	Vec256 = [4]uint64
 )

@@ -14,8 +14,7 @@ const MaxBatchLanes = 256
 // lets a single graph traversal propagate per-vertex lane masks and answer
 // connectivity/reliability/distance queries for every lane at once. The
 // width is the type parameter: WorldBatch[Vec64] is the one-word 64-lane
-// engine, WorldBatch[Vec128] and WorldBatch[Vec256] carry 128 and 256
-// worlds per traversal.
+// engine, WorldBatch[Vec256] carries 256 worlds per traversal.
 //
 // Lane l of a batch filled by SampleBatchSeeded is bit-identical to the
 // World produced by SampleWorldSeeded with the same seed, at every width,

@@ -87,7 +87,6 @@ func TestSampleBatchSeededLanesBitIdenticalToScalarSampler(t *testing.T) {
 		check func(t *testing.T, g *Graph, seeds []int64, label string)
 	}{
 		"64":  {64, checkBatchLanesBitIdentical[Vec64]},
-		"128": {128, checkBatchLanesBitIdentical[Vec128]},
 		"256": {256, checkBatchLanesBitIdentical[Vec256]},
 	}
 	for _, n := range []int{3, 9, 17, 40} {
@@ -249,9 +248,9 @@ func TestLoadBlocksPanicsOnBadShape(t *testing.T) {
 	g := MustNew(3, []Edge{{U: 0, V: 1, P: 0.5}, {U: 1, V: 2, P: 0.5}})
 	good := [][]uint64{make([]uint64, 2), make([]uint64, 2)}
 	for name, fn := range map[string]func(){
-		"zero lanes":      func() { LoadBlocks(NewWorldBatch[Vec128](g), good, 0) },
-		"too many lanes":  func() { LoadBlocks(NewWorldBatch[Vec128](g), good, 129) },
-		"missing block":   func() { LoadBlocks(NewWorldBatch[Vec128](g), good[:1], 128) },
+		"zero lanes":      func() { LoadBlocks(NewWorldBatch[Vec256](g), good, 0) },
+		"too many lanes":  func() { LoadBlocks(NewWorldBatch[Vec256](g), good, 257) },
+		"missing block":   func() { LoadBlocks(NewWorldBatch[Vec256](g), good[:1], 128) },
 		"short block":     func() { LoadBlocks(NewWorldBatch[Vec64](g), [][]uint64{make([]uint64, 1)}, 64) },
 		"fillblock seeds": func() { FillBlock(g, nil, make([]uint64, 2)) },
 		"fillblock dst":   func() { FillBlock(g, []int64{1}, make([]uint64, 3)) },
@@ -273,30 +272,27 @@ func TestVecHelpers(t *testing.T) {
 	if got := VecLanes[Vec64](); got != 64 {
 		t.Errorf("VecLanes[Vec64] = %d", got)
 	}
-	if got := VecLanes[Vec128](); got != 128 {
-		t.Errorf("VecLanes[Vec128] = %d", got)
-	}
 	if got := VecLanes[Vec256](); got != 256 {
 		t.Errorf("VecLanes[Vec256] = %d", got)
 	}
-	if got := VecOnes[Vec128](70); got != (Vec128{^uint64(0), 0x3F}) {
-		t.Errorf("VecOnes[Vec128](70) = %x", got)
+	if got := VecOnes[Vec256](70); got != (Vec256{^uint64(0), 0x3F}) {
+		t.Errorf("VecOnes[Vec256](70) = %x", got)
 	}
 	if got := VecOnes[Vec256](256); got != (Vec256{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}) {
 		t.Errorf("VecOnes[Vec256](256) = %x", got)
 	}
-	a := Vec128{0b1100, 0b1010}
-	b := Vec128{0b1010, 0b0110}
-	if got := VecAnd(a, b); got != (Vec128{0b1000, 0b0010}) {
+	a := Vec256{0b1100, 0b1010}
+	b := Vec256{0b1010, 0b0110}
+	if got := VecAnd(a, b); got != (Vec256{0b1000, 0b0010}) {
 		t.Errorf("VecAnd = %b", got)
 	}
-	if got := VecOr(a, b); got != (Vec128{0b1110, 0b1110}) {
+	if got := VecOr(a, b); got != (Vec256{0b1110, 0b1110}) {
 		t.Errorf("VecOr = %b", got)
 	}
-	if got := VecAndNot(a, b); got != (Vec128{0b0100, 0b1000}) {
+	if got := VecAndNot(a, b); got != (Vec256{0b0100, 0b1000}) {
 		t.Errorf("VecAndNot = %b", got)
 	}
-	if got := VecFrontier(a, b, Vec128{0b1000, 0}); got != (Vec128{0, 0b0010}) {
+	if got := VecFrontier(a, b, Vec256{0b1000, 0}); got != (Vec256{0, 0b0010}) {
 		t.Errorf("VecFrontier = %b", got)
 	}
 	if !VecIsZero(Vec256{}) || VecIsZero(Vec256{0, 0, 1, 0}) {

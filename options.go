@@ -15,7 +15,7 @@ type Option func(*config) error
 
 // config collects the applied options. Zero values mean "method default"
 // (the paper's recommended settings, see core.Options), so an empty option
-// list reproduces ugs.Sparsify's zero-Options behavior.
+// list reproduces core.Sparsify with the zero core.Options.
 type config struct {
 	discrepancy Discrepancy
 	backbone    Backbone
@@ -109,7 +109,7 @@ func WithCutOrder(k int) Option {
 
 // WithEntropy sets the entropy parameter h ∈ [0, 1]: when an optimal
 // probability step would increase an edge's entropy, only the fraction h of
-// the step is applied. Unlike the deprecated Options.H field, an explicit
+// the step is applied. Unlike the core.Options.H field, an explicit
 // WithEntropy(0) means a true zero (the HZero sentinel is applied
 // internally); omitting the option selects the paper's default 0.05.
 func WithEntropy(h float64) Option {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"ugs"
+	"ugs/internal/core"
 )
 
 func TestMethodsListsAllBuiltins(t *testing.T) {
@@ -138,26 +139,28 @@ func TestLookupInvalidOptions(t *testing.T) {
 	}
 }
 
+// TestOptionsMatchDeprecatedShim (named after the positional public API it
+// was written against) pins the option translation behind Lookup: the
+// functional options must configure exactly what the equivalent positional
+// core.Options does through core.Sparsify, the registry's dispatcher.
 func TestOptionsMatchDeprecatedShim(t *testing.T) {
-	// The functional options must configure exactly what the positional
-	// Options struct did, including the HZero sentinel: an explicit
-	// WithEntropy(0) is a true zero, and an omitted option is the 0.05
-	// default.
+	// Including the HZero sentinel: an explicit WithEntropy(0) is a true
+	// zero, and an omitted option is the 0.05 default.
 	g := ugs.TwitterLike(120, 5)
 	cases := []struct {
 		name string
 		opts []ugs.Option
-		old  ugs.Options
+		old  core.Options
 	}{
 		{
 			"defaults",
 			nil,
-			ugs.Options{},
+			core.Options{},
 		},
 		{
 			"explicit entropy zero is HZero",
 			[]ugs.Option{ugs.WithEntropy(0), ugs.WithSeed(3)},
-			ugs.Options{H: ugs.HZero, Seed: 3},
+			core.Options{H: core.HZero, Seed: 3},
 		},
 		{
 			"full configuration",
@@ -170,9 +173,9 @@ func TestOptionsMatchDeprecatedShim(t *testing.T) {
 				ugs.WithMaxIters(17),
 				ugs.WithSeed(11),
 			},
-			ugs.Options{
-				Discrepancy: ugs.Relative,
-				Backbone:    ugs.BackboneRandom,
+			core.Options{
+				Discrepancy: core.Relative,
+				Backbone:    core.BackboneRandom,
 				K:           2,
 				H:           0.4,
 				Tau:         1e-7,
@@ -183,7 +186,7 @@ func TestOptionsMatchDeprecatedShim(t *testing.T) {
 		{
 			"k = n redistribution",
 			[]ugs.Option{ugs.WithCutOrder(ugs.KAll), ugs.WithSeed(7)},
-			ugs.Options{K: ugs.KAll, Seed: 7},
+			core.Options{K: core.KAll, Seed: 7},
 		},
 	}
 	for _, tc := range cases {
@@ -196,12 +199,12 @@ func TestOptionsMatchDeprecatedShim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oldGraph, oldStats, err := ugs.Sparsify(g, 0.3, tc.old)
+			oldGraph, oldStats, err := core.Sparsify(context.Background(), g, 0.3, tc.old)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.Graph.Equal(oldGraph) {
-				t.Error("options and Options shim produced different graphs")
+				t.Error("functional options and core.Options produced different graphs")
 			}
 			if res.Stats != *oldStats {
 				t.Errorf("stats mismatch: %+v vs %+v", res.Stats, *oldStats)
@@ -363,27 +366,6 @@ func TestCancelMidRunStopsEMDPromptly(t *testing.T) {
 	}
 	if rounds > 2 {
 		t.Errorf("EMD ran %d rounds after cancellation; not prompt", rounds)
-	}
-}
-
-func TestDeprecatedShimsStillWork(t *testing.T) {
-	// Existing callers of the positional API keep compiling and produce
-	// the same graphs as the registry path.
-	g := ugs.TwitterLike(60, 7)
-	oldNI, err := ugs.NISparsify(g, 0.3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := ugs.Lookup("ni", ugs.WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sp.Sparsify(context.Background(), g, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !oldNI.Equal(res.Graph) {
-		t.Error("NISparsify and Lookup(\"ni\") disagree")
 	}
 }
 

@@ -42,7 +42,6 @@
 package ugs
 
 import (
-	"context"
 	"io"
 	"math/rand"
 
@@ -67,12 +66,10 @@ type (
 	// World is one sampled deterministic materialization of a Graph.
 	World = ugraph.World
 	// Vec is the word-vector constraint of the variable-width bit-parallel
-	// engine: Vec64, Vec128 and Vec256 carry 64, 128 and 256 world lanes.
+	// engine: Vec64 and Vec256 carry 64 and 256 world lanes.
 	Vec = ugraph.Vec
 	// Vec64 is the one-word, 64-lane vector.
 	Vec64 = ugraph.Vec64
-	// Vec128 is the two-word, 128-lane vector.
-	Vec128 = ugraph.Vec128
 	// Vec256 is the four-word, 256-lane vector.
 	Vec256 = ugraph.Vec256
 	// WorldBatch holds up to VecLanes[V] sampled worlds in lane-transposed
@@ -114,8 +111,8 @@ var (
 	// sample until every tracked estimate's CI half-width is ≤ eps at
 	// confidence 1−delta.
 	WithConfidence = mc.WithConfidence
-	// ParseLanes resolves a -lanes flag value ("auto", "1", "64", "128",
-	// "256") to the MCOptions.Lanes encoding.
+	// ParseLanes resolves a -lanes flag value ("auto", "1", "64", "256") to
+	// the MCOptions.Lanes encoding.
 	ParseLanes = mc.ParseLanes
 	// FormatLanes is the inverse of ParseLanes.
 	FormatLanes = mc.FormatLanes
@@ -229,11 +226,6 @@ func WriteBinaryGraph(w io.Writer, g *Graph) error { return ugraph.WriteBinary(w
 
 // Sparsification configuration (see internal/core for full documentation).
 type (
-	// Options configures the deprecated Sparsify shim.
-	//
-	// Deprecated: configure sparsifiers with functional options through
-	// Lookup instead.
-	Options = core.Options
 	// Method enumerates the built-in sparsification methods; its String
 	// form is the registry name.
 	Method = core.Method
@@ -285,16 +277,6 @@ var (
 	ParseBackbone = core.ParseBackbone
 )
 
-// Sparsify reduces g to α·|E| edges using the configured method. The zero
-// Options value selects GDB with the paper's recommended defaults.
-//
-// Deprecated: resolve a Sparsifier through Lookup instead, which supports
-// every registered method (including NI and SS), context cancellation and
-// progress reporting.
-func Sparsify(g *Graph, alpha float64, opts Options) (*Graph, *RunStats, error) {
-	return core.Sparsify(context.Background(), g, alpha, opts)
-}
-
 // MAEDegreeDiscrepancy is the mean absolute degree discrepancy between a
 // graph and its sparsification.
 func MAEDegreeDiscrepancy(orig, sparse *Graph, dt Discrepancy) float64 {
@@ -305,34 +287,6 @@ func MAEDegreeDiscrepancy(orig, sparse *Graph, dt Discrepancy) float64 {
 // sampled vertex sets of cardinality 1..maxK.
 func MAECutDiscrepancy(orig, sparse *Graph, maxK, cutsPerK int, rng *rand.Rand) float64 {
 	return core.MAECutDiscrepancy(orig, sparse, maxK, cutsPerK, rng)
-}
-
-// NISparsify runs the Nagamochi–Ibaraki cut-sparsifier benchmark.
-//
-// Deprecated: use Lookup("ni", WithSeed(seed)) instead, which also returns
-// run statistics and honors context cancellation.
-func NISparsify(g *Graph, alpha float64, seed int64) (*Graph, error) {
-	return benchmarkShim("ni", g, alpha, seed)
-}
-
-// SSSparsify runs the Baswana–Sen spanner benchmark.
-//
-// Deprecated: use Lookup("ss", WithSeed(seed)) instead, which also returns
-// run statistics and honors context cancellation.
-func SSSparsify(g *Graph, alpha float64, seed int64) (*Graph, error) {
-	return benchmarkShim("ss", g, alpha, seed)
-}
-
-func benchmarkShim(name string, g *Graph, alpha float64, seed int64) (*Graph, error) {
-	sp, err := Lookup(name, WithSeed(seed))
-	if err != nil {
-		return nil, err
-	}
-	res, err := sp.Sparsify(context.Background(), g, alpha)
-	if err != nil {
-		return nil, err
-	}
-	return res.Graph, nil
 }
 
 // Monte-Carlo query evaluation.
@@ -359,10 +313,12 @@ type (
 // Reliability, ShortestDistance{,AndReliability} and ConnectedProbability
 // run on the bit-parallel batch engine (WorldBatch + mask-BFS: one
 // traversal answers a full lane vector of sampled worlds). MCOptions.Lanes
-// selects the width — 64, 128 or 256 lanes, 1 for the scalar ablation, or
-// 0 to let the planner choose — and MCOptions.Target switches from a fixed
-// sample budget to sequential stopping. Every width and both fixed and
-// adaptive schedules produce bit-identical estimates on the same seed.
+// selects the width — 64 or 256 lanes, 1 for the scalar ablation, or 0 for
+// the planner's fixed rule over query kind and sample budget — and
+// MCOptions.Target switches from a fixed sample budget to sequential
+// stopping, whose rounds are each planned from their own budget. Every
+// width and both fixed and adaptive schedules produce bit-identical
+// estimates on the same seed.
 var (
 	// ExpectedPageRank estimates per-vertex expected PageRank.
 	ExpectedPageRank = queries.ExpectedPageRank

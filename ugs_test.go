@@ -31,6 +31,20 @@ func must2[A, B any](a A, b B, err error) (A, B) {
 	return a, b
 }
 
+// sparsify runs the registered method on g at ratio alpha.
+func sparsify(t *testing.T, g *ugs.Graph, alpha float64, method string, opts ...ugs.Option) *ugs.Graph {
+	t.Helper()
+	sp, err := ugs.Lookup(method, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sp.Sparsify(context.Background(), g, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Graph
+}
+
 func TestEndToEndPipelineAllMethods(t *testing.T) {
 	g := ugs.TwitterLike(150, 7)
 	rng := rand.New(rand.NewSource(7))
@@ -92,18 +106,9 @@ func TestProposedMethodsBeatBenchmarksOnDegrees(t *testing.T) {
 	// than the deterministic adaptations (Figure 6).
 	g := ugs.FlickrLike(200, 11)
 	const alpha = 0.16
-	gdb, _, err := ugs.Sparsify(g, alpha, ugs.Options{Method: ugs.MethodGDB, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nig, err := ugs.NISparsify(g, alpha, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ssg, err := ugs.SSSparsify(g, alpha, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gdb := sparsify(t, g, alpha, "gdb", ugs.WithSeed(2))
+	nig := sparsify(t, g, alpha, "ni", ugs.WithSeed(2))
+	ssg := sparsify(t, g, alpha, "ss", ugs.WithSeed(2))
 	gdbMAE := ugs.MAEDegreeDiscrepancy(g, gdb, ugs.Absolute)
 	niMAE := ugs.MAEDegreeDiscrepancy(g, nig, ugs.Absolute)
 	ssMAE := ugs.MAEDegreeDiscrepancy(g, ssg, ugs.Absolute)
@@ -119,10 +124,7 @@ func TestEntropyReductionLowersVariance(t *testing.T) {
 	// Section 6.3: entropy reduction lowers MC-estimator variance,
 	// shrinking the samples needed for a given confidence width.
 	g := ugs.FlickrLike(150, 13)
-	sparse, _, err := ugs.Sparsify(g, 0.16, ugs.Options{Method: ugs.MethodGDB, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sparse := sparsify(t, g, 0.16, "gdb", ugs.WithSeed(3))
 	if ugs.RelativeEntropy(sparse, g) >= 1 {
 		t.Fatalf("entropy not reduced: ratio %v", ugs.RelativeEntropy(sparse, g))
 	}
@@ -170,14 +172,7 @@ func TestSparsifyPreservesConnectivityWithSpanningBackbone(t *testing.T) {
 	if !g.IsConnected() {
 		t.Fatal("generator returned disconnected graph")
 	}
-	sparse, _, err := ugs.Sparsify(g, 0.1, ugs.Options{
-		Method:   ugs.MethodGDB,
-		Backbone: ugs.BackboneSpanning,
-		Seed:     5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sparse := sparsify(t, g, 0.1, "gdb", ugs.WithBackbone(ugs.BackboneSpanning), ugs.WithSeed(5))
 	if !sparse.IsConnected() {
 		t.Error("spanning backbone did not preserve connectivity")
 	}
