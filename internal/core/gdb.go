@@ -126,72 +126,111 @@ type RunStats struct {
 // whose own update changes its endpoints re-dirties itself (the entropy cap
 // and the [0,1] clamp make single visits partial steps).
 //
+// Each visit applies the Equation (9) update: take the optimal step, clamp
+// to [0, 1], and if the (unclamped) assignment would increase the edge's
+// entropy apply only the fraction h of the step. The step (for k = 1) and
+// the bookkeeping of tracker.setProb are inlined with the same expressions
+// in the same order, and the tracker's scalar accumulators live in locals
+// for the length of a sweep, so the loop computes exactly what setProb
+// would. The k ≠ 1 rules read the missing mass through tracker.step, so it
+// is stored back before each such call.
+//
 // Convergence is decided on the O(1) incrementally-maintained objective;
 // when it signals convergence (and on MaxIters exhaustion) the objective is
 // recomputed exactly, bounding float drift in the reported D1.
 func gdbSweeps(ctx context.Context, t *tracker, backbone []int, opts GDBOptions) (RunStats, error) {
 	h := effectiveH(opts.H)
+	dt, k := opts.Discrepancy, opts.K
+	degreeRule := k == 1 && t.n > 1 // tracker.step's k = 1 case
 	// The k ≠ 1 update rules read the global missing mass, so any
 	// probability change anywhere dirties every edge.
-	globalMass := opts.K != 1
-	prev := t.objectiveD1(opts.Discrepancy)
+	globalMass := k != 1
+	dense := opts.DenseSweeps
+	eu, ev, cur, visitStamp := t.eu, t.ev, t.cur, t.visitStamp
+	origDeg, curDeg, invSq, vertStamp := t.origDeg, t.curDeg, t.invSq, t.vertStamp
+	prev := t.objectiveD1(dt)
 	iters, visits := 0, 0
 	converged := false
 	for iters < opts.MaxIters {
 		if err := ctx.Err(); err != nil {
 			return RunStats{}, err
 		}
+		d1Abs, d1Rel, missing := t.d1Abs, t.d1Rel, t.missing
+		tick, massStamp := t.tick, t.massStamp
 		for _, id := range backbone {
-			if !opts.DenseSweeps {
-				stamp := t.vertStamp[t.eu[id]]
-				if s := t.vertStamp[t.ev[id]]; s > stamp {
+			u, v := int(eu[id]), int(ev[id])
+			if !dense {
+				stamp := vertStamp[u]
+				if s := vertStamp[v]; s > stamp {
 					stamp = s
 				}
-				if globalMass && t.massStamp > stamp {
-					stamp = t.massStamp
+				if globalMass && massStamp > stamp {
+					stamp = massStamp
 				}
-				if stamp <= t.visitStamp[id] {
+				if stamp <= visitStamp[id] {
 					continue
 				}
-				t.visitStamp[id] = t.tick
+				visitStamp[id] = tick
 			}
-			gdbUpdateEdge(t, id, opts.Discrepancy, opts.K, h)
 			visits++
+			old := cur[id]
+			dAu := origDeg[u] - curDeg[u]
+			dAv := origDeg[v] - curDeg[v]
+			var stp float64
+			switch {
+			case !degreeRule:
+				t.missing = missing
+				stp = t.step(id, dt, k)
+			case dt == Absolute:
+				stp = (dAu + dAv) * 0.5
+			default:
+				pu, pv := t.pi(u, dt), t.pi(v, dt)
+				stp = (pv*dAu + pu*dAv) / (pu + pv)
+			}
+			p := old + stp
+			switch {
+			case p < 0:
+				p = 0
+			case p > 1:
+				p = 1
+			case ugraph.EntropyGreater(p, old):
+				p = old + h*stp
+			}
+			if p == old {
+				continue
+			}
+			// tracker.setProb, inlined.
+			dp := p - old
+			nu, nv := dAu-dp, dAv-dp
+			su := nu*nu - dAu*dAu
+			sv := nv*nv - dAv*dAv
+			d1Abs += su + sv
+			d1Rel += su*invSq[u] + sv*invSq[v]
+			curDeg[u] += dp
+			curDeg[v] += dp
+			missing -= dp
+			cur[id] = p
+			tick++
+			vertStamp[u] = tick
+			vertStamp[v] = tick
+			massStamp = tick
 		}
+		t.d1Abs, t.d1Rel, t.missing = d1Abs, d1Rel, missing
+		t.tick, t.massStamp = tick, massStamp
 		iters++
-		d1 := t.cachedD1(opts.Discrepancy)
+		d1 := t.cachedD1(dt)
 		if opts.Progress != nil {
 			opts.Progress(RunStats{Iterations: iters, ObjectiveD1: d1, EdgeVisits: visits})
 		}
 		if math.Abs(prev-d1) <= opts.Tau {
-			prev = t.objectiveD1(opts.Discrepancy)
+			prev = t.objectiveD1(dt)
 			converged = true
 			break
 		}
 		prev = d1
 	}
 	if !converged {
-		prev = t.objectiveD1(opts.Discrepancy)
+		prev = t.objectiveD1(dt)
 	}
 	return RunStats{Iterations: iters, ObjectiveD1: prev, EdgeVisits: visits}, nil
-}
-
-// gdbUpdateEdge applies the Equation (9) update to a single edge: take the
-// optimal step, clamp to [0, 1], and if the (unclamped) assignment would
-// increase the edge's entropy apply only the fraction h of the step.
-func gdbUpdateEdge(t *tracker, id int, dt Discrepancy, k int, h float64) {
-	old := t.cur[id]
-	stp := t.step(id, dt, k)
-	p := old + stp
-	switch {
-	case p < 0:
-		p = 0
-	case p > 1:
-		p = 1
-	case ugraph.EntropyGreater(p, old):
-		p = old + h*stp
-	}
-	if p != old {
-		t.setProb(id, p)
-	}
 }

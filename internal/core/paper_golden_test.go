@@ -69,7 +69,12 @@ func TestFigure2GDBFirstStepMatchesWorkedExample(t *testing.T) {
 	if math.Abs(stp-0.3) > 1e-12 {
 		t.Fatalf("step = %v, want 0.3", stp)
 	}
-	gdbUpdateEdge(tr, 2, Absolute, 1, 1)
+	// One sweep over just this edge applies exactly its Equation (9) update.
+	opts := GDBOptions{H: 1, MaxIters: 1}
+	opts.defaults(g.NumVertices())
+	if _, err := gdbSweeps(context.Background(), tr, []int{2}, opts); err != nil {
+		t.Fatal(err)
+	}
 	if p := tr.cur[2]; math.Abs(p-0.5) > 1e-12 {
 		t.Errorf("p'(u1,u4) = %v, want 0.5 (paper)", p)
 	}

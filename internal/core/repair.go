@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ugs/internal/ugraph"
@@ -78,7 +79,10 @@ type RepairStats struct {
 	// deleted backbone edge leaves implicitly and is not counted).
 	BackboneAdded, BackboneRemoved int
 	// DirtyVertices counts vertices whose discrepancy state changed — the
-	// worklist region the repair sweeps start from.
+	// worklist region the repair sweeps start from. A change is any
+	// difference in the bits of the vertex's expected degree in G or G',
+	// so a vertex whose degree sums round differently in the resync's
+	// summation order counts even if no edit touched it.
 	DirtyVertices int
 	// Sweeps and EdgeVisits report the bounded re-optimization actually
 	// performed (Sweeps ≤ DynOptions.RepairSweeps).
@@ -150,7 +154,16 @@ func (d *Dynamic) Sparsified() (*ugraph.Graph, error) { return d.t.finalize() }
 // vertices whose discrepancy state changed, and re-run up to RepairSweeps
 // worklist sweeps from the existing tracker. The batch is atomic — a
 // validation error leaves the state untouched.
+//
+// ctx is checked once, before the batch is applied: a context that is
+// already done returns its error with the state untouched. Once the batch
+// is applied, the sweeps (at most RepairSweeps) run to completion
+// regardless of ctx, so a Repair never returns with its batch half
+// applied.
 func (d *Dynamic) Repair(ctx context.Context, edits []ugraph.EdgeEdit) (*RepairStats, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	res, err := ugraph.ApplyEdits(d.g, edits)
 	if err != nil {
 		return nil, err
@@ -175,7 +188,7 @@ func (d *Dynamic) Repair(ctx context.Context, edits []ugraph.EdgeEdit) (*RepairS
 		MaxIters: d.opts.RepairSweeps}
 	sOpts.defaults(d.g.NumVertices())
 	sOpts.MaxIters = d.opts.RepairSweeps // defaults() must not widen the cap
-	run, err := gdbSweeps(ctx, t, d.backbone, sOpts)
+	run, err := gdbSweeps(context.WithoutCancel(ctx), t, d.backbone, sOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -183,38 +196,43 @@ func (d *Dynamic) Repair(ctx context.Context, edits []ugraph.EdgeEdit) (*RepairS
 	return stats, nil
 }
 
-// remap rebuilds the tracker's per-edge arrays in the post-edit id space:
-// surviving edges carry their probability, membership and visit stamp across
-// the compaction; inserted edges start outside the backbone with stamp 0
-// (always dirty if later pulled in).
+// remap carries the tracker's per-edge arrays into the post-edit id space,
+// compacting them in place: surviving edges keep their probability,
+// membership and visit stamp; inserted edges start outside the backbone
+// with stamp 0 (always dirty if later pulled in). In-place compaction is
+// safe because it is monotone — no survivor's new id exceeds its old one,
+// so each slot is read before any later survivor overwrites it.
 func (d *Dynamic) remap(res *ugraph.EditResult) {
 	t := d.t
-	ng := res.Graph
-	m := ng.NumEdges()
-	eu := make([]int32, m)
-	ev := make([]int32, m)
-	origP := make([]float64, m)
-	cur := make([]float64, m)
-	inB := make([]bool, m)
-	visit := make([]int64, m)
-	for id, e := range ng.Edges() {
-		eu[id], ev[id] = int32(e.U), int32(e.V)
-		origP[id] = e.P
-	}
+	edges := res.Graph.Edges()
 	nBackbone := 0
-	for old, nw := range res.OldToNew {
-		if nw < 0 {
+	for old, id := range res.OldToNew {
+		if id < 0 {
 			continue
 		}
-		cur[nw] = t.cur[old]
-		visit[nw] = t.visitStamp[old]
-		if t.inBackbone[old] {
-			inB[nw] = true
+		e := edges[id]
+		t.eu[id], t.ev[id], t.origP[id] = int32(e.U), int32(e.V), e.P
+		t.cur[id], t.visitStamp[id], t.inBackbone[id] = t.cur[old], t.visitStamp[old], t.inBackbone[old]
+		if t.inBackbone[id] {
 			nBackbone++
 		}
 	}
-	t.eu, t.ev, t.origP, t.cur, t.inBackbone, t.visitStamp = eu, ev, origP, cur, inB, visit
+	m, kept := len(edges), len(edges)-len(res.InsertedIDs)
+	t.eu, t.ev = resize(t.eu, kept, m), resize(t.ev, kept, m)
+	t.origP, t.cur = resize(t.origP, kept, m), resize(t.cur, kept, m)
+	t.inBackbone, t.visitStamp = resize(t.inBackbone, kept, m), resize(t.visitStamp, kept, m)
+	for _, id := range res.InsertedIDs {
+		e := edges[id]
+		t.eu[id], t.ev[id], t.origP[id] = int32(e.U), int32(e.V), e.P
+		t.cur[id], t.visitStamp[id], t.inBackbone[id] = 0, 0, false
+	}
 	t.nBackbone = nBackbone
+}
+
+// resize returns s[:kept] extended to length m, reallocating only when m
+// exceeds its capacity. Entries past kept are unspecified.
+func resize[T any](s []T, kept, m int) []T {
+	return slices.Grow(s[:kept], m-kept)[:m]
 }
 
 // maintainBackbone restores the α·|E| edge budget after an edit batch with a
@@ -238,40 +256,14 @@ func (d *Dynamic) maintainBackbone() (added, removed int) {
 	}
 	switch {
 	case t.nBackbone < target:
-		cand := make([]int, 0, m-t.nBackbone)
-		for id := 0; id < m; id++ {
-			if !t.inBackbone[id] {
-				cand = append(cand, id)
-			}
-		}
-		sort.Slice(cand, func(a, b int) bool {
-			pa, pb := t.origP[cand[a]], t.origP[cand[b]]
-			if pa != pb {
-				return pa > pb
-			}
-			return cand[a] < cand[b]
-		})
-		for _, id := range cand[:target-t.nBackbone] {
+		for _, id := range selectEdges(t.origP, t.inBackbone, false, target-t.nBackbone) {
 			t.inBackbone[id] = true
 			t.cur[id] = t.origP[id]
 			added++
 		}
 		t.nBackbone = target
 	case t.nBackbone > target:
-		members := make([]int, 0, t.nBackbone)
-		for id := 0; id < m; id++ {
-			if t.inBackbone[id] {
-				members = append(members, id)
-			}
-		}
-		sort.Slice(members, func(a, b int) bool {
-			pa, pb := t.origP[members[a]], t.origP[members[b]]
-			if pa != pb {
-				return pa < pb
-			}
-			return members[a] > members[b]
-		})
-		for _, id := range members[:t.nBackbone-target] {
+		for _, id := range selectEdges(t.origP, t.inBackbone, true, t.nBackbone-target) {
 			t.inBackbone[id] = false
 			t.cur[id] = 0
 			removed++
@@ -286,6 +278,56 @@ func (d *Dynamic) maintainBackbone() (added, removed int) {
 		}
 	}
 	return added, removed
+}
+
+// selectEdges returns the k edges with inBackbone[id] == members that rank
+// first: by descending p (ties to the lower id) when refilling non-members,
+// by ascending p (ties to the higher id) when evicting members. It makes one
+// pass over the edges and keeps the k best so far in a heap whose root is
+// the worst of them, so a new edge costs one comparison unless it displaces
+// the root. The order of the returned ids is unspecified.
+func selectEdges(p []float64, inBackbone []bool, members bool, k int) []int {
+	// first reports whether edge a ranks ahead of edge b.
+	first := func(a, b int) bool {
+		if p[a] != p[b] {
+			return (p[a] > p[b]) != members
+		}
+		return (a < b) != members
+	}
+	h := make([]int, 0, k)
+	// down restores the heap below position i: no parent ranks ahead of
+	// its children.
+	down := func(i int) {
+		for {
+			worst, l := i, 2*i+1
+			if l < k && first(h[worst], h[l]) {
+				worst = l
+			}
+			if r := l + 1; r < k && first(h[worst], h[r]) {
+				worst = r
+			}
+			if worst == i {
+				return
+			}
+			h[i], h[worst] = h[worst], h[i]
+			i = worst
+		}
+	}
+	for id, in := range inBackbone {
+		switch {
+		case in != members:
+		case len(h) < k:
+			if h = append(h, id); len(h) == k {
+				for i := k/2 - 1; i >= 0; i-- {
+					down(i)
+				}
+			}
+		case first(id, h[0]):
+			h[0] = id
+			down(0)
+		}
+	}
+	return h
 }
 
 // resyncAfterEdits rebuilds every numeric accumulator from scratch and

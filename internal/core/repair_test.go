@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -363,6 +365,104 @@ func TestRepairRejectsInvalidBatch(t *testing.T) {
 	e := base.Edge(1)
 	if _, err := d.Repair(ctx, []ugraph.EdgeEdit{{Op: ugraph.EditReweight, U: e.U, V: e.V, P: 0.5}}); err != nil {
 		t.Fatalf("state unusable after rejected batches: %v", err)
+	}
+}
+
+// TestRepairCancelledLeavesStateUntouched: a Repair whose context is
+// already done must not apply its batch. The graph, backbone and objective
+// stay as they were, and the same batch then repairs exactly as the scratch
+// replay does.
+func TestRepairCancelledLeavesStateUntouched(t *testing.T) {
+	base := dynamicTestGraph(t)
+	ctx := context.Background()
+	d, err := NewDynamic(ctx, base, 0.4, DynOptions{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newScratchPipeline(d)
+	bb := d.Backbone()
+	batch := randomBatch(rand.New(rand.NewSource(3)), ref.n, ref.recs, 8)
+	touched := make(map[uint64]bool, len(batch))
+	for _, ed := range batch {
+		touched[repairKey(ed.U, ed.V)] = true
+	}
+	for _, id := range bb { // plus the delete of an untouched backbone edge
+		if e := d.Graph().Edge(id); !touched[repairKey(e.U, e.V)] {
+			batch = append(batch, ugraph.EdgeEdit{Op: ugraph.EditDelete, U: e.U, V: e.V})
+			break
+		}
+	}
+
+	g, obj := d.Graph(), d.ObjectiveD1()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := d.Repair(cancelled, batch); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Repair with a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if d.Graph() != g || d.Graph().NumEdges() != base.NumEdges() {
+		t.Fatalf("cancelled Repair replaced the graph (%d edges, was %d)", d.Graph().NumEdges(), base.NumEdges())
+	}
+	if !slices.Equal(d.Backbone(), bb) {
+		t.Fatal("cancelled Repair changed the backbone")
+	}
+	if got := d.ObjectiveD1(); got != obj {
+		t.Fatalf("cancelled Repair moved the objective: %.17g → %.17g", obj, got)
+	}
+
+	if _, err := d.Repair(ctx, batch); err != nil {
+		t.Fatalf("retry after a cancelled Repair: %v", err)
+	}
+	rg, rbb, tr := ref.apply(t, ctx, batch)
+	assertRepairedEqualsScratch(t, "retry", d, rg, rbb, tr)
+}
+
+// TestSelectEdgesMatchesSort checks backbone maintenance's one-pass
+// selection against sorting every candidate, on probabilities drawn from a
+// few values so that most comparisons are ties broken by id.
+func TestSelectEdgesMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		m := 1 + rng.Intn(60)
+		p := make([]float64, m)
+		in := make([]bool, m)
+		for id := range p {
+			p[id] = float64(1+rng.Intn(4)) / 4
+			in[id] = rng.Intn(2) == 0
+		}
+		for _, members := range []bool{false, true} {
+			var cand []int
+			for id := range in {
+				if in[id] == members {
+					cand = append(cand, id)
+				}
+			}
+			if len(cand) == 0 {
+				continue
+			}
+			// Refill: p descending, ties to the lower id. Evict: p
+			// ascending, ties to the higher id.
+			sort.Slice(cand, func(a, b int) bool {
+				pa, pb := p[cand[a]], p[cand[b]]
+				switch {
+				case pa != pb && members:
+					return pa < pb
+				case pa != pb:
+					return pa > pb
+				case members:
+					return cand[a] > cand[b]
+				default:
+					return cand[a] < cand[b]
+				}
+			})
+			k := 1 + rng.Intn(len(cand))
+			got := selectEdges(p, in, members, k)
+			sort.Ints(got)
+			want := append([]int(nil), cand[:k]...)
+			sort.Ints(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d members=%v k=%d: selected %v, want %v", trial, members, k, got, want)
+			}
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ func TestBinaryRoundTripMapped(t *testing.T) {
 			t.Fatalf("ArcOffsets[%d]: %d != %d", i, m.ArcOffsets()[i], o)
 		}
 	}
-	// Lazy pair index on the mapped view.
+	// EdgeID scans the mapped view's CSR rows.
 	for _, e := range g.Edges() {
 		id, ok := m.EdgeID(e.U, e.V)
 		want, _ := g.EdgeID(e.U, e.V)

@@ -106,6 +106,8 @@ func ApplyEdits(g *Graph, edits []EdgeEdit) (*EditResult, error) {
 	}
 	n := g.NumVertices()
 	seen := make(map[uint64]struct{}, len(edits))
+	ids := make([]int, len(edits)) // resolved edge id of each delete/reweight
+	inserts := 0
 	structural := false
 	for i, ed := range edits {
 		fail := func(reason string) error {
@@ -122,7 +124,8 @@ func ApplyEdits(g *Graph, edits []EdgeEdit) (*EditResult, error) {
 			return nil, fail("duplicate edge pair in batch")
 		}
 		seen[k] = struct{}{}
-		_, exists := g.EdgeID(ed.U, ed.V)
+		id, exists := g.EdgeID(ed.U, ed.V)
+		ids[i] = id
 		switch ed.Op {
 		case EditInsert:
 			if exists {
@@ -131,6 +134,7 @@ func ApplyEdits(g *Graph, edits []EdgeEdit) (*EditResult, error) {
 			if !(ed.P > 0 && ed.P <= 1) {
 				return nil, fail(fmt.Sprintf("probability %v outside (0,1]", ed.P))
 			}
+			inserts++
 			structural = true
 		case EditDelete:
 			if !exists {
@@ -152,68 +156,68 @@ func ApplyEdits(g *Graph, edits []EdgeEdit) (*EditResult, error) {
 		}
 	}
 	if structural {
-		return applyStructural(g, edits)
+		return applyStructural(g, edits, ids, inserts), nil
 	}
-	return applyReweights(g, edits)
+	return applyReweights(g, edits, ids), nil
 }
 
 // applyReweights handles a reweight-only batch: identifiers are stable, so
-// only the edge records change. Heap inputs share their CSR adjacency and
-// pair index (both immutable after construction); mapped inputs are fully
-// copied onto the heap.
-func applyReweights(g *Graph, edits []EdgeEdit) (*EditResult, error) {
+// only the edge records change. Heap inputs share their CSR adjacency
+// (immutable after construction); mapped inputs are fully copied onto the
+// heap. ids holds the resolved edge id of each edit.
+func applyReweights(g *Graph, edits []EdgeEdit, ids []int) *EditResult {
 	edges := make([]Edge, len(g.edges))
 	copy(edges, g.edges)
-	for _, ed := range edits {
-		id, _ := g.EdgeID(ed.U, ed.V)
-		edges[id].P = ed.P
+	for i, ed := range edits {
+		edges[ids[i]].P = ed.P
 	}
 	ng := &Graph{n: g.n, edges: edges}
 	if g.Mapped() {
 		ng.buildAdjacency()
 	} else {
-		// The validation pass above resolved EdgeIDs, so g.index is built
-		// and stable; adjacency arrays are immutable for heap graphs.
-		ng.arcOff, ng.arcs, ng.index = g.arcOff, g.arcs, g.index
+		ng.arcOff, ng.arcs = g.arcOff, g.arcs
 	}
-	return &EditResult{Graph: ng}, nil
+	return &EditResult{Graph: ng}
 }
 
 // applyStructural handles a batch with inserts or deletes: the edge list is
-// rebuilt with survivors first (relative order preserved, probabilities
-// reweighted in place) and inserts appended in batch order.
-func applyStructural(g *Graph, edits []EdgeEdit) (*EditResult, error) {
+// copied once, reweighted and compacted in place (survivors keep their
+// relative order) and inserts are appended in batch order. ids holds the
+// resolved edge id of each delete and reweight.
+//
+// The CSR is derived row by row from the old one rather than rebuilt: a
+// survivor's new id is monotone in its old id, so each row's surviving arcs
+// stay in ascending id order, and inserted edges carry the highest ids, so
+// they go at the end of their rows. That is exactly the layout
+// buildAdjacency produces for the new edge list.
+func applyStructural(g *Graph, edits []EdgeEdit, ids []int, inserts int) *EditResult {
 	m := len(g.edges)
-	deleted := make(map[int]bool)
-	reweight := make(map[int]float64)
-	var inserts []EdgeEdit
-	for _, ed := range edits {
+	edges := make([]Edge, m, m+inserts)
+	copy(edges, g.edges)
+	oldToNew := make([]int32, m)
+	for i, ed := range edits {
 		switch ed.Op {
-		case EditInsert:
-			inserts = append(inserts, ed)
 		case EditDelete:
-			id, _ := g.EdgeID(ed.U, ed.V)
-			deleted[id] = true
+			oldToNew[ids[i]] = -1
 		case EditReweight:
-			id, _ := g.EdgeID(ed.U, ed.V)
-			reweight[id] = ed.P
+			edges[ids[i]].P = ed.P
 		}
 	}
-	oldToNew := make([]int32, m)
-	edges := make([]Edge, 0, m-len(deleted)+len(inserts))
-	for id, e := range g.edges {
-		if deleted[id] {
-			oldToNew[id] = -1
+	kept := 0
+	for id := range oldToNew {
+		if oldToNew[id] < 0 {
 			continue
 		}
-		if p, ok := reweight[id]; ok {
-			e.P = p
-		}
-		oldToNew[id] = int32(len(edges))
-		edges = append(edges, e)
+		oldToNew[id] = int32(kept)
+		edges[kept] = edges[id]
+		kept++
 	}
-	insertedIDs := make([]int, 0, len(inserts))
-	for _, ed := range inserts {
+	edges = edges[:kept]
+	insertedIDs := make([]int, 0, inserts)
+	for _, ed := range edits {
+		if ed.Op != EditInsert {
+			continue
+		}
 		u, v := ed.U, ed.V
 		if u > v {
 			u, v = v, u
@@ -221,9 +225,45 @@ func applyStructural(g *Graph, edits []EdgeEdit) (*EditResult, error) {
 		insertedIDs = append(insertedIDs, len(edges))
 		edges = append(edges, Edge{U: u, V: v, P: ed.P})
 	}
-	ng := &Graph{n: g.n, edges: edges}
-	ng.buildAdjacency() // pair index rebuilt lazily on demand
-	return &EditResult{Graph: ng, OldToNew: oldToNew, InsertedIDs: insertedIDs, Structural: true}, nil
+
+	// Row offsets: each old degree, less deleted arcs, plus inserted ones.
+	n := g.n
+	arcOff := make([]int32, n+1)
+	for i, ed := range edits {
+		if ed.Op == EditDelete {
+			e := g.edges[ids[i]]
+			arcOff[e.U+1]--
+			arcOff[e.V+1]--
+		}
+	}
+	for _, id := range insertedIDs {
+		arcOff[edges[id].U+1]++
+		arcOff[edges[id].V+1]++
+	}
+	for u := 0; u < n; u++ {
+		arcOff[u+1] += arcOff[u] + g.arcOff[u+1] - g.arcOff[u]
+	}
+	arcs := make([]Arc, 2*len(edges))
+	next := make([]int32, n) // first free slot of each row after its survivors
+	for u := 0; u < n; u++ {
+		w := arcOff[u]
+		for _, a := range g.arcs[g.arcOff[u]:g.arcOff[u+1]] {
+			if id := oldToNew[a.ID]; id >= 0 {
+				arcs[w] = Arc{To: a.To, ID: int(id)}
+				w++
+			}
+		}
+		next[u] = w
+	}
+	for _, id := range insertedIDs {
+		e := edges[id]
+		arcs[next[e.U]] = Arc{To: e.V, ID: id}
+		next[e.U]++
+		arcs[next[e.V]] = Arc{To: e.U, ID: id}
+		next[e.V]++
+	}
+	ng := &Graph{n: n, edges: edges, arcOff: arcOff, arcs: arcs}
+	return &EditResult{Graph: ng, OldToNew: oldToNew, InsertedIDs: insertedIDs, Structural: true}
 }
 
 // EditLog accumulates applied edit batches over a base graph so a storage

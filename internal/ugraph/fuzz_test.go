@@ -2,8 +2,11 @@ package ugraph
 
 import (
 	"bytes"
+	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -87,5 +90,205 @@ func TestReadRejectsHostileHeaders(t *testing.T) {
 	// The committed example corpus stays well inside the limit.
 	if _, err := Read(strings.NewReader("1000000 0\n")); err != nil {
 		t.Errorf("legitimate large-but-bounded header rejected: %v", err)
+	}
+}
+
+// fuzzEditGraph is FuzzApplyEdits' base graph: a hub, a triangle fan, a
+// tail and an isolated vertex (8), so rows of very different lengths are
+// edited.
+func fuzzEditGraph() *Graph {
+	return MustNew(9, []Edge{
+		{U: 0, V: 1, P: 0.9}, {U: 0, V: 2, P: 0.5}, {U: 0, V: 3, P: 0.25},
+		{U: 0, V: 4, P: 0.8}, {U: 0, V: 5, P: 0.4}, {U: 1, V: 2, P: 0.7},
+		{U: 2, V: 3, P: 0.3}, {U: 3, V: 4, P: 0.6}, {U: 5, V: 6, P: 1},
+		{U: 6, V: 7, P: 0.15},
+	})
+}
+
+// decodeEditBatch turns fuzz bytes into an edit batch, four bytes per edit:
+// the op (3 is not a valid op), two endpoints in [-(n+1), n+1] and a
+// probability byte (0 → 0, 1 → NaN, 2 → 1.5, 3 → -0.5, otherwise
+// (b−3)/252, which covers (0, 1]).
+func decodeEditBatch(data []byte, n int) []EdgeEdit {
+	var batch []EdgeEdit
+	for ; len(data) >= 4 && len(batch) < 32; data = data[4:] {
+		p := float64(data[3]-3) / 252
+		switch data[3] {
+		case 0:
+			p = 0
+		case 1:
+			p = nan()
+		case 2:
+			p = 1.5
+		case 3:
+			p = -0.5
+		}
+		batch = append(batch, EdgeEdit{
+			Op: EditOp(data[0] % 4),
+			U:  int(int8(data[1])) % (n + 2),
+			V:  int(int8(data[2])) % (n + 2),
+			P:  p,
+		})
+	}
+	return batch
+}
+
+// encodeEditBatch is the inverse of decodeEditBatch for in-range edits with
+// p in (0, 1], used to seed the corpus with valid batches.
+func encodeEditBatch(batch []EdgeEdit) []byte {
+	var out []byte
+	for _, ed := range batch {
+		pb := byte(3 + int(ed.P*252+0.5))
+		if ed.Op == EditDelete {
+			pb = 0
+		}
+		out = append(out, byte(ed.Op), byte(ed.U), byte(ed.V), pb)
+	}
+	return out
+}
+
+// FuzzApplyEdits applies arbitrary batches to a small heap graph and to its
+// .ugsb-mapped copy. Each call must either reject the batch with an
+// *EditError and leave the input untouched, or return a graph whose edge
+// list, CSR offsets and arcs equal New over that same edge list; EdgeID on
+// the result must then find every edge in both endpoint orders and report
+// absent pairs, out-of-range vertices and u == v as missing. The heap and
+// mapped inputs must agree on the outcome.
+func FuzzApplyEdits(f *testing.F) {
+	g := fuzzEditGraph()
+	path := filepath.Join(f.TempDir(), "g.ugsb")
+	if err := WriteBinaryFile(path, g); err != nil {
+		f.Fatal(err)
+	}
+	mg, err := OpenMapped(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { mg.Close() })
+	n := g.NumVertices()
+
+	for _, batch := range [][]EdgeEdit{
+		{{Op: EditReweight, U: 0, V: 1, P: 0.2}},
+		{{Op: EditDelete, U: 0, V: 3}},
+		{{Op: EditInsert, U: 8, V: 0, P: 0.5}},
+		{{Op: EditDelete, U: 0, V: 1}, {Op: EditDelete, U: 6, V: 5}, {Op: EditInsert, U: 7, V: 8, P: 1}},
+		{{Op: EditReweight, U: 4, V: 3, P: 1}, {Op: EditInsert, U: 1, V: 3, P: 0.1}, {Op: EditDelete, U: 2, V: 3}},
+		{{Op: EditDelete, U: 0, V: 1}, {Op: EditDelete, U: 0, V: 2}, {Op: EditDelete, U: 0, V: 3},
+			{Op: EditDelete, U: 0, V: 4}, {Op: EditDelete, U: 0, V: 5}},
+	} {
+		f.Add(encodeEditBatch(batch))
+	}
+	// Random valid batches: every kind of edit at every row, 1–12 edits.
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 24; i++ {
+		var batch []EdgeEdit
+		touched := make(map[uint64]bool)
+		for size := 1 + rng.Intn(12); len(batch) < size; {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v || touched[pairKey(u, v)] {
+				continue
+			}
+			touched[pairKey(u, v)] = true
+			p := float64(1+rng.Intn(252)) / 252
+			switch {
+			case !g.HasEdge(u, v):
+				batch = append(batch, EdgeEdit{Op: EditInsert, U: u, V: v, P: p})
+			case rng.Intn(2) == 0:
+				batch = append(batch, EdgeEdit{Op: EditDelete, U: u, V: v})
+			default:
+				batch = append(batch, EdgeEdit{Op: EditReweight, U: u, V: v, P: p})
+			}
+		}
+		f.Add(encodeEditBatch(batch))
+	}
+	// Invalid batches: empty, self-loop, out of range, duplicate pair,
+	// insert of an existing edge, delete of an absent one, bad
+	// probabilities, unknown op.
+	f.Add([]byte{})
+	f.Add([]byte{byte(EditInsert), 2, 2, 100})
+	f.Add([]byte{byte(EditInsert), 0, 9, 100})
+	f.Add([]byte{byte(EditInsert), 0xff, 1, 100})
+	f.Add([]byte{byte(EditReweight), 0, 1, 100, byte(EditDelete), 1, 0, 0})
+	f.Add([]byte{byte(EditInsert), 0, 1, 100})
+	f.Add([]byte{byte(EditDelete), 1, 4, 0})
+	f.Add([]byte{byte(EditReweight), 0, 1, 0})
+	f.Add([]byte{byte(EditInsert), 1, 4, 1})
+	f.Add([]byte{byte(EditInsert), 1, 4, 2})
+	f.Add([]byte{3, 1, 4, 100})
+
+	type snapshot struct {
+		edges  []Edge
+		arcOff []int32
+		arcs   []Arc
+	}
+	snap := func(h *Graph) snapshot {
+		return snapshot{
+			append([]Edge(nil), h.Edges()...),
+			append([]int32(nil), h.ArcOffsets()...),
+			append([]Arc(nil), h.Arcs()...),
+		}
+	}
+	before := snap(g)
+	sameAs := func(h *Graph, s snapshot) bool {
+		return slices.Equal(h.Edges(), s.edges) && slices.Equal(h.ArcOffsets(), s.arcOff) &&
+			slices.Equal(h.Arcs(), s.arcs)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		batch := decodeEditBatch(data, n)
+		var results [2]*Graph
+		var errs [2]error
+		for i, in := range []*Graph{g, mg} {
+			res, err := ApplyEdits(in, batch)
+			if !sameAs(in, before) {
+				t.Fatalf("input %d modified by ApplyEdits(%v)", i, batch)
+			}
+			errs[i] = err
+			if err != nil {
+				var ee *EditError
+				if !errors.As(err, &ee) {
+					t.Fatalf("input %d: error %v is not an *EditError", i, err)
+				}
+				continue
+			}
+			results[i] = res.Graph
+			want, err := New(n, res.Graph.Edges())
+			if err != nil {
+				t.Fatalf("input %d: result edge list rejected by New: %v", i, err)
+			}
+			if !sameAs(res.Graph, snap(want)) {
+				t.Fatalf("input %d: result CSR differs from New over its edges\nbatch %v\noffsets %v want %v\narcs %v\nwant %v",
+					i, batch, res.Graph.ArcOffsets(), want.ArcOffsets(), res.Graph.Arcs(), want.Arcs())
+			}
+			checkEdgeIDs(t, res.Graph)
+		}
+		if (errs[0] == nil) != (errs[1] == nil) || (errs[0] != nil && errs[0].Error() != errs[1].Error()) {
+			t.Fatalf("heap and mapped inputs disagree: %v vs %v", errs[0], errs[1])
+		}
+		if errs[0] == nil && !results[0].Equal(results[1]) {
+			t.Fatalf("heap and mapped results differ for %v", batch)
+		}
+	})
+}
+
+// checkEdgeIDs verifies EdgeID against h's own edge list: every edge is
+// found under both endpoint orders, and every other pair over [-1, n] —
+// absent pairs, out-of-range vertices, u == v — is reported missing.
+func checkEdgeIDs(t *testing.T, h *Graph) {
+	t.Helper()
+	n := h.NumVertices()
+	want := make(map[[2]int]int, h.NumEdges())
+	for id, e := range h.Edges() {
+		want[[2]int{e.U, e.V}] = id
+		want[[2]int{e.V, e.U}] = id
+	}
+	for u := -1; u <= n; u++ {
+		for v := -1; v <= n; v++ {
+			wid, wok := want[[2]int{u, v}]
+			id, ok := h.EdgeID(u, v)
+			if ok != wok || (ok && id != wid) {
+				t.Fatalf("EdgeID(%d,%d) = %d,%v; want %d,%v", u, v, id, ok, wid, wok)
+			}
+		}
 	}
 }

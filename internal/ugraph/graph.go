@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 )
 
 // Edge is an undirected uncertain edge with existence probability P.
@@ -63,14 +62,12 @@ type Arc struct {
 // writable heap copy, and Close releases the mapping.
 type Graph struct {
 	n      int
-	edges  []Edge         // one record per undirected edge, U < V
-	arcOff []int32        // CSR row offsets: arcs of u are arcs[arcOff[u]:arcOff[u+1]]
-	arcs   []Arc          // CSR arc array, grouped by source vertex, 2|E| entries
-	index  map[uint64]int // packed (u,v) -> edge ID; may be built lazily
+	edges  []Edge  // one record per undirected edge, U < V
+	arcOff []int32 // CSR row offsets: arcs of u are arcs[arcOff[u]:arcOff[u+1]]
+	arcs   []Arc   // CSR arc array, grouped by source vertex, 2|E| entries
 
-	indexOnce sync.Once // guards the lazy index build for mapped graphs
-	readonly  bool      // true for mapped views: SetProb must not touch the pages
-	backing   io.Closer // the file mapping behind a mapped view, nil otherwise
+	readonly bool      // true for mapped views: SetProb must not touch the pages
+	backing  io.Closer // the file mapping behind a mapped view, nil otherwise
 }
 
 func pairKey(u, v int) uint64 {
@@ -104,7 +101,8 @@ func MustNew(n int, edges []Edge) *Graph {
 }
 
 // Builder incrementally assembles a Graph, validating each edge as it is
-// added.
+// added. Its duplicate check keeps a pair set while building; the finished
+// Graph does not inherit it.
 type Builder struct {
 	n     int
 	edges []Edge
@@ -142,7 +140,8 @@ func (b *Builder) AddEdge(u, v int, p float64) error {
 
 // Graph finalizes the builder. The builder must not be reused afterwards.
 func (b *Builder) Graph() *Graph {
-	g := &Graph{n: b.n, edges: b.edges, index: b.index}
+	g := &Graph{n: b.n, edges: b.edges}
+	b.index = nil
 	g.buildAdjacency()
 	return g
 }
@@ -199,25 +198,23 @@ func (g *Graph) SetProb(id int, p float64) {
 	g.edges[id].P = p
 }
 
-// EdgeID returns the identifier of edge (u, v) and whether it exists.
-// Mapped graphs build the (u,v)→id index lazily on the first call (the
-// only O(|E|) heap cost a mapped view ever pays, and only if asked).
+// EdgeID returns the identifier of edge (u, v) and whether it exists;
+// endpoint order does not matter. It scans the CSR row of the endpoint with
+// the lower degree, so it costs O(min(deg u, deg v)) and keeps no index.
+// Out-of-range vertices and u == v report (-1, false).
 func (g *Graph) EdgeID(u, v int) (int, bool) {
-	g.indexOnce.Do(g.ensureIndex)
-	id, ok := g.index[pairKey(u, v)]
-	return id, ok
-}
-
-// ensureIndex builds the pair index if construction did not provide one.
-func (g *Graph) ensureIndex() {
-	if g.index != nil {
-		return
+	if u < 0 || u >= g.n || v < 0 || v >= g.n || u == v {
+		return -1, false
 	}
-	idx := make(map[uint64]int, len(g.edges))
-	for i, e := range g.edges {
-		idx[pairKey(e.U, e.V)] = i
+	if g.Degree(v) < g.Degree(u) {
+		u, v = v, u
 	}
-	g.index = idx
+	for _, a := range g.Neighbors(u) {
+		if a.To == v {
+			return a.ID, true
+		}
+	}
+	return -1, false
 }
 
 // ReadOnly reports whether the graph is an immutable view (SetProb
@@ -236,7 +233,7 @@ func (g *Graph) Close() error {
 	}
 	b := g.backing
 	g.backing = nil
-	g.edges, g.arcOff, g.arcs, g.index = nil, nil, nil, nil
+	g.edges, g.arcOff, g.arcs = nil, nil, nil
 	g.n = 0
 	return b.Close()
 }
@@ -306,9 +303,7 @@ func (g *Graph) MeanProb() float64 {
 }
 
 // Clone returns a deep, writable heap copy of the graph (including of a
-// read-only mapped view). The pair index is rebuilt lazily on demand
-// rather than copied, so cloning never races a concurrent lazy build on
-// the source.
+// read-only mapped view).
 func (g *Graph) Clone() *Graph {
 	edges := make([]Edge, len(g.edges))
 	copy(edges, g.edges)
