@@ -193,26 +193,6 @@ func BenchmarkSparsifyGDB(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSweeps compares the epoch-stamped worklist against dense
-// sweeps on the same GDB run (the PR 3 construction-path ablation; outputs
-// are identical, only the amount of recomputation differs).
-func BenchmarkAblationSweeps(b *testing.B) {
-	g := benchGraph(b)
-	for _, v := range []struct {
-		name string
-		opts []ugs.Option
-	}{
-		{"worklist", []ugs.Option{ugs.WithSeed(1)}},
-		{"dense", []ugs.Option{ugs.WithSeed(1), ugs.WithDenseSweeps()}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchSparsify(b, g, 0.16, "gdb", v.opts...)
-			}
-		})
-	}
-}
-
 // scaledGraphs caches the large generated fixtures for the per-sweep and
 // per-round microbenchmarks; generation is O(N²) and shared across
 // sub-benchmarks.

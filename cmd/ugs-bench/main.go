@@ -124,7 +124,6 @@ func main() {
 		fn   func()
 	}{
 		{"SparsifyGDB", sparsify("gdb", ugs.WithSeed(1))},
-		{"SparsifyGDB/dense", sparsify("gdb", ugs.WithSeed(1), ugs.WithDenseSweeps())},
 		{"SparsifyEMD", sparsify("emd", ugs.WithSeed(1))},
 		{"SparsifyNI", sparsify("ni", ugs.WithSeed(1))},
 		{"SparsifySS", sparsify("ss", ugs.WithSeed(1))},

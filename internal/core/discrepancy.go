@@ -40,12 +40,6 @@ func (d Discrepancy) String() string {
 // backbone), current expected degrees, the global missing probability mass
 // Σ_e (p_G(e) − p_cur(e)) needed by the k-cut rules, and the D1 objective
 // under both discrepancy types, all updated in O(1) per probability change.
-//
-// Every change also advances a logical clock and stamps the two endpoints
-// (and the global-mass stamp), which drives the epoch worklist of gdbSweeps
-// and the heap refresh of EMD's E-phase: an edge whose endpoints carry no
-// stamp newer than its last visit would recompute the exact same step, so
-// it can be skipped without changing the result.
 type tracker struct {
 	g          *ugraph.Graph
 	n          int       // |V|
@@ -60,11 +54,6 @@ type tracker struct {
 	missing    float64 // Σ_e p_G(e) − p_cur(e) over all original edges
 
 	d1Abs, d1Rel float64 // incrementally maintained Σ_u δ²(u) per objective
-
-	tick       int64   // logical clock, advanced by every probability change
-	vertStamp  []int64 // tick at which δ(u) last changed
-	massStamp  int64   // tick at which the global missing mass last changed
-	visitStamp []int64 // tick at which gdbSweeps last visited each edge
 }
 
 func newTracker(g *ugraph.Graph, backbone []int) *tracker {
@@ -82,8 +71,6 @@ func newTracker(g *ugraph.Graph, backbone []int) *tracker {
 		inBackbone: make([]bool, m),
 		nBackbone:  len(backbone),
 		missing:    g.TotalProb(),
-		vertStamp:  make([]int64, n),
-		visitStamp: make([]int64, m),
 	}
 	for id, e := range g.Edges() {
 		t.eu[id], t.ev[id] = int32(e.U), int32(e.V)
@@ -105,8 +92,7 @@ func newTracker(g *ugraph.Graph, backbone []int) *tracker {
 }
 
 // setProb changes the current probability of edge id, updating degrees, the
-// missing-mass accumulator, both D1 objectives, and the worklist stamps —
-// all in O(1).
+// missing-mass accumulator and both D1 objectives, all in O(1).
 func (t *tracker) setProb(id int, p float64) {
 	dp := p - t.cur[id]
 	if dp == 0 {
@@ -124,10 +110,6 @@ func (t *tracker) setProb(id int, p float64) {
 	t.curDeg[v] += dp
 	t.missing -= dp
 	t.cur[id] = p
-	t.tick++
-	t.vertStamp[u] = t.tick
-	t.vertStamp[v] = t.tick
-	t.massStamp = t.tick
 }
 
 // deltaA returns the absolute degree discrepancy of u under the current

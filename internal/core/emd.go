@@ -33,10 +33,6 @@ type EMDOptions struct {
 	// versus O(deg(v_H) + log|V|) — and exists for the heap-ablation
 	// benchmark (Section 4.3 cost analysis).
 	NaiveEPhase bool
-	// DenseSweeps disables the epoch worklist inside the M-phase's GDB
-	// sweeps (see GDBOptions.DenseSweeps). Output is identical either
-	// way; ablation and equivalence testing only.
-	DenseSweeps bool
 	// Progress, when non-nil, receives a RunStats snapshot after every
 	// completed E+M round.
 	Progress func(RunStats)
@@ -92,7 +88,6 @@ func emdRun(ctx context.Context, t *tracker, bb *[]int, opts EMDOptions) (*RunSt
 		H:           opts.H,
 		Tau:         opts.Tau,
 		MaxIters:    opts.MPhaseIters,
-		DenseSweeps: opts.DenseSweeps,
 	}
 	mOpts.defaults(g.NumVertices())
 
@@ -138,37 +133,33 @@ func emdRun(ctx context.Context, t *tracker, bb *[]int, opts EMDOptions) (*RunSt
 
 // ePhaseState carries the E-phase's data structures across EMD rounds so
 // they are built once per run instead of once per round: the vertex max-heap
-// Hv and the backbone snapshot scratch buffer. Between rounds the M-phase
-// changes many discrepancies; rather than re-pushing all n vertices, resync
-// replays only the vertices stamped by the tracker since the heap was last
-// in sync.
+// Hv and the backbone snapshot scratch buffer.
 type ePhaseState struct {
 	hv       *ds.IndexedMaxHeap
 	snapshot []int
-	syncTick int64 // tracker tick up to which hv priorities are current
 }
 
 // newEPhaseState builds the vertex heap over all n vertices with their
 // current |δ| priorities.
 func newEPhaseState(t *tracker, dt Discrepancy) *ePhaseState {
 	n := t.g.NumVertices()
-	st := &ePhaseState{hv: ds.NewIndexedMaxHeap(n), syncTick: t.tick}
+	st := &ePhaseState{hv: ds.NewIndexedMaxHeap(n)}
 	for u := 0; u < n; u++ {
 		st.hv.Push(u, math.Abs(t.delta(u, dt)))
 	}
 	return st
 }
 
-// resync refreshes the heap priorities of exactly the vertices whose
-// discrepancy changed since the last E-phase (O(changed · log n), instead of
-// rebuilding the heap from scratch).
+// resync refreshes the heap priority of every vertex after the M-phase
+// changed many discrepancies: O(n) comparisons plus O(log n) per changed
+// priority, instead of rebuilding the heap from scratch. Update leaves the
+// heap untouched when a priority is unchanged, so the layout, and with it
+// the tie-breaking of Top, is what an update of the changed vertices alone
+// would leave.
 func (st *ePhaseState) resync(t *tracker, dt Discrepancy) {
-	for u, stamp := range t.vertStamp {
-		if stamp > st.syncTick {
-			st.hv.Update(u, math.Abs(t.delta(u, dt)))
-		}
+	for u := 0; u < t.n; u++ {
+		st.hv.Update(u, math.Abs(t.delta(u, dt)))
 	}
-	st.syncTick = t.tick
 }
 
 // ePhase is the E-phase of Algorithm 3 (lines 6–20): for every backbone
@@ -217,7 +208,6 @@ func ePhase(t *tracker, bb *[]int, dt Discrepancy, h float64, st *ePhaseState) i
 		}
 	}
 	st.snapshot = snapshot
-	st.syncTick = t.tick // refresh() kept hv current throughout the phase
 
 	// Rebuild the backbone id list from membership (ascending, hence
 	// deterministic), reusing the caller's slice.

@@ -25,15 +25,6 @@ type GDBOptions struct {
 	Tau float64
 	// MaxIters bounds the number of full sweeps. Default 200.
 	MaxIters int
-	// DenseSweeps disables the epoch-stamped worklist: every sweep
-	// recomputes the update step of every backbone edge, as the
-	// pre-worklist implementation did. The worklist skips exactly the
-	// edges whose recomputed step would be a no-op (neither endpoint
-	// discrepancy — nor, for k ≠ 1, the global missing mass — changed
-	// since the edge's last visit), so both modes produce identical
-	// output; the flag exists for ablation benchmarks and equivalence
-	// tests.
-	DenseSweeps bool
 	// Progress, when non-nil, receives a RunStats snapshot after every
 	// completed sweep.
 	Progress func(RunStats)
@@ -105,35 +96,23 @@ type RunStats struct {
 	// Bernoulli fill-up: NI-core selections or raw spanner edges
 	// (NI and SS only).
 	AuxEdges int
-	// EdgeVisits counts the edge-update steps actually computed across
-	// GDB sweeps (including EMD's M-phases). With the epoch worklist this
-	// is at most — and usually far below — Iterations × |backbone|, which
-	// is what dense sweeps perform.
+	// EdgeVisits counts the edge-update steps computed across GDB sweeps
+	// (including EMD's M-phases). Every sweep visits every backbone edge,
+	// so for GDB it is Iterations × |backbone|.
 	EdgeVisits int
 }
 
 // gdbSweeps is the iterative core of Algorithm 2, shared with EMD's M-phase.
 // It mutates the tracker in place. The context is checked once per sweep.
 //
-// Each sweep walks the backbone in order but, unless DenseSweeps is set,
-// only recomputes the update step of edges that are dirty: an edge is clean
-// when neither endpoint's discrepancy (nor, for k ≠ 1 rules that read the
-// global missing mass, any probability at all) has changed since the edge
-// was last visited. A clean edge would recompute the exact same step it
-// already applied to a fixed point — a guaranteed no-op — so skipping it
-// leaves the probability sequence, and therefore the output, bit-identical
-// to a dense sweep. Visit stamps are taken *before* the update, so an edge
-// whose own update changes its endpoints re-dirties itself (the entropy cap
-// and the [0,1] clamp make single visits partial steps).
-//
-// Each visit applies the Equation (9) update: take the optimal step, clamp
-// to [0, 1], and if the (unclamped) assignment would increase the edge's
-// entropy apply only the fraction h of the step. The step (for k = 1) and
-// the bookkeeping of tracker.setProb are inlined with the same expressions
-// in the same order, and the tracker's scalar accumulators live in locals
-// for the length of a sweep, so the loop computes exactly what setProb
-// would. The k ≠ 1 rules read the missing mass through tracker.step, so it
-// is stored back before each such call.
+// Each sweep visits every backbone edge in order and applies the Equation
+// (9) update: take the optimal step, clamp to [0, 1], and if the (unclamped)
+// assignment would increase the edge's entropy apply only the fraction h of
+// the step. The step (for k = 1) and the bookkeeping of tracker.setProb are
+// inlined with the same expressions in the same order, and the tracker's
+// scalar accumulators live in locals for the length of a sweep, so the loop
+// computes exactly what setProb would. The k ≠ 1 rules read the missing
+// mass through tracker.step, so it is stored back before each such call.
 //
 // Convergence is decided on the O(1) incrementally-maintained objective;
 // when it signals convergence (and on MaxIters exhaustion) the objective is
@@ -142,37 +121,18 @@ func gdbSweeps(ctx context.Context, t *tracker, backbone []int, opts GDBOptions)
 	h := effectiveH(opts.H)
 	dt, k := opts.Discrepancy, opts.K
 	degreeRule := k == 1 && t.n > 1 // tracker.step's k = 1 case
-	// The k ≠ 1 update rules read the global missing mass, so any
-	// probability change anywhere dirties every edge.
-	globalMass := k != 1
-	dense := opts.DenseSweeps
-	eu, ev, cur, visitStamp := t.eu, t.ev, t.cur, t.visitStamp
-	origDeg, curDeg, invSq, vertStamp := t.origDeg, t.curDeg, t.invSq, t.vertStamp
+	eu, ev, cur := t.eu, t.ev, t.cur
+	origDeg, curDeg, invSq := t.origDeg, t.curDeg, t.invSq
 	prev := t.objectiveD1(dt)
-	iters, visits := 0, 0
+	iters := 0
 	converged := false
 	for iters < opts.MaxIters {
 		if err := ctx.Err(); err != nil {
 			return RunStats{}, err
 		}
 		d1Abs, d1Rel, missing := t.d1Abs, t.d1Rel, t.missing
-		tick, massStamp := t.tick, t.massStamp
 		for _, id := range backbone {
 			u, v := int(eu[id]), int(ev[id])
-			if !dense {
-				stamp := vertStamp[u]
-				if s := vertStamp[v]; s > stamp {
-					stamp = s
-				}
-				if globalMass && massStamp > stamp {
-					stamp = massStamp
-				}
-				if stamp <= visitStamp[id] {
-					continue
-				}
-				visitStamp[id] = tick
-			}
-			visits++
 			old := cur[id]
 			dAu := origDeg[u] - curDeg[u]
 			dAv := origDeg[v] - curDeg[v]
@@ -210,17 +170,12 @@ func gdbSweeps(ctx context.Context, t *tracker, backbone []int, opts GDBOptions)
 			curDeg[v] += dp
 			missing -= dp
 			cur[id] = p
-			tick++
-			vertStamp[u] = tick
-			vertStamp[v] = tick
-			massStamp = tick
 		}
 		t.d1Abs, t.d1Rel, t.missing = d1Abs, d1Rel, missing
-		t.tick, t.massStamp = tick, massStamp
 		iters++
 		d1 := t.cachedD1(dt)
 		if opts.Progress != nil {
-			opts.Progress(RunStats{Iterations: iters, ObjectiveD1: d1, EdgeVisits: visits})
+			opts.Progress(RunStats{Iterations: iters, ObjectiveD1: d1, EdgeVisits: iters * len(backbone)})
 		}
 		if math.Abs(prev-d1) <= opts.Tau {
 			prev = t.objectiveD1(dt)
@@ -232,5 +187,5 @@ func gdbSweeps(ctx context.Context, t *tracker, backbone []int, opts GDBOptions)
 	if !converged {
 		prev = t.objectiveD1(dt)
 	}
-	return RunStats{Iterations: iters, ObjectiveD1: prev, EdgeVisits: visits}, nil
+	return RunStats{Iterations: iters, ObjectiveD1: prev, EdgeVisits: iters * len(backbone)}, nil
 }

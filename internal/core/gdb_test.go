@@ -278,3 +278,30 @@ func TestGDBQuickInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGDBSweepsSteadyStateAllocsZero verifies the sweep engine itself —
+// tracker updates, incremental objective, convergence checks — runs without
+// allocating once the tracker exists.
+func TestGDBSweepsSteadyStateAllocsZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	g := randomConnectedGraph(rng, 80, 0.2)
+	backbone, err := SpanningBackbone(g, 0.35, BGIOptions{}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := GDBOptions{H: 0.05, MaxIters: 5}
+	opts.defaults(g.NumVertices())
+	tr := newTracker(g, backbone)
+	ctx := context.Background()
+	if _, err := gdbSweeps(ctx, tr, backbone, opts); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := gdbSweeps(ctx, tr, backbone, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state GDB sweeps allocate %v times per run, want 0", allocs)
+	}
+}

@@ -10,9 +10,8 @@ import (
 )
 
 // DynOptions configures a Dynamic sparsifier. Only the degree-preserving
-// methods are supported (MethodGDB and MethodEMD, both at k = 1): the k-cut
-// rules read global state that an incremental repair cannot re-dirty
-// precisely.
+// methods are supported (MethodGDB and MethodEMD, both at k = 1): Repair
+// re-runs the k = 1 degree rule.
 type DynOptions struct {
 	// Method is MethodGDB (default) or MethodEMD.
 	Method Method
@@ -27,8 +26,10 @@ type DynOptions struct {
 	H        float64
 	Tau      float64
 	MaxIters int
-	// RepairSweeps bounds the worklist sweeps one Repair call runs — the
-	// bounded-work-per-update knob of the dynamic sparsifier. Default 8.
+	// RepairSweeps bounds the sweeps one Repair call runs — the
+	// bounded-work-per-update knob of the dynamic sparsifier. Each sweep
+	// visits the whole backbone, so a repair's sweep work is at most
+	// RepairSweeps × |backbone| whatever the batch size. Default 8.
 	RepairSweeps int
 	// Seed drives the initial backbone randomization.
 	Seed int64
@@ -53,8 +54,8 @@ func (o *DynOptions) defaults() {
 // rebuild of the same pipeline state would compute: rebuild the post-edit
 // graph, carry each surviving edge's current probability, apply the same
 // backbone maintenance rule, build a fresh tracker and run the same capped
-// sweeps densely. The differential suite in repair_test.go enforces exactly
-// that equivalence. Repair is therefore a bounded-work maintenance step, not
+// sweeps. The differential suite in repair_test.go enforces exactly that
+// equivalence. Repair is therefore a bounded-work maintenance step, not
 // a full re-optimization; when edits have drifted the graph far from the
 // state the initial backbone was built for, a fresh sparsification remains
 // the quality-recovery path.
@@ -78,14 +79,15 @@ type RepairStats struct {
 	// pulled in to refill the α·|E| budget and edges evicted over it (a
 	// deleted backbone edge leaves implicitly and is not counted).
 	BackboneAdded, BackboneRemoved int
-	// DirtyVertices counts vertices whose discrepancy state changed — the
-	// worklist region the repair sweeps start from. A change is any
-	// difference in the bits of the vertex's expected degree in G or G',
-	// so a vertex whose degree sums round differently in the resync's
-	// summation order counts even if no edit touched it.
+	// DirtyVertices counts vertices whose discrepancy state the batch
+	// changed. A change is any difference in the bits of the vertex's
+	// expected degree in G or G', so a vertex whose degree sums round
+	// differently in the resync's summation order counts even if no edit
+	// touched it.
 	DirtyVertices int
 	// Sweeps and EdgeVisits report the bounded re-optimization actually
-	// performed (Sweeps ≤ DynOptions.RepairSweeps).
+	// performed: Sweeps ≤ DynOptions.RepairSweeps full sweeps of the
+	// backbone, so EdgeVisits = Sweeps × |backbone|.
 	Sweeps, EdgeVisits int
 	// ObjectiveD1 is the exact objective after the repair.
 	ObjectiveD1 float64
@@ -150,10 +152,10 @@ func (d *Dynamic) Sparsified() (*ugraph.Graph, error) { return d.t.finalize() }
 
 // Repair applies one edit batch to the base graph and restores the
 // sparsified state with bounded work: carry per-edge state across the edit,
-// maintain the backbone budget deterministically, re-dirty exactly the
-// vertices whose discrepancy state changed, and re-run up to RepairSweeps
-// worklist sweeps from the existing tracker. The batch is atomic — a
-// validation error leaves the state untouched.
+// maintain the backbone budget deterministically, resync the accumulators
+// of the tracker, and re-run up to RepairSweeps sweeps of the backbone from
+// the existing probabilities. The batch is atomic — a validation error
+// leaves the state untouched.
 //
 // ctx is checked once, before the batch is applied: a context that is
 // already done returns its error with the state untouched. Once the batch
@@ -197,11 +199,11 @@ func (d *Dynamic) Repair(ctx context.Context, edits []ugraph.EdgeEdit) (*RepairS
 }
 
 // remap carries the tracker's per-edge arrays into the post-edit id space,
-// compacting them in place: surviving edges keep their probability,
-// membership and visit stamp; inserted edges start outside the backbone
-// with stamp 0 (always dirty if later pulled in). In-place compaction is
-// safe because it is monotone — no survivor's new id exceeds its old one,
-// so each slot is read before any later survivor overwrites it.
+// compacting them in place: surviving edges keep their probability and
+// membership; inserted edges start outside the backbone. In-place
+// compaction is safe because it is monotone — no survivor's new id exceeds
+// its old one, so each slot is read before any later survivor overwrites
+// it.
 func (d *Dynamic) remap(res *ugraph.EditResult) {
 	t := d.t
 	edges := res.Graph.Edges()
@@ -212,7 +214,7 @@ func (d *Dynamic) remap(res *ugraph.EditResult) {
 		}
 		e := edges[id]
 		t.eu[id], t.ev[id], t.origP[id] = int32(e.U), int32(e.V), e.P
-		t.cur[id], t.visitStamp[id], t.inBackbone[id] = t.cur[old], t.visitStamp[old], t.inBackbone[old]
+		t.cur[id], t.inBackbone[id] = t.cur[old], t.inBackbone[old]
 		if t.inBackbone[id] {
 			nBackbone++
 		}
@@ -220,11 +222,11 @@ func (d *Dynamic) remap(res *ugraph.EditResult) {
 	m, kept := len(edges), len(edges)-len(res.InsertedIDs)
 	t.eu, t.ev = resize(t.eu, kept, m), resize(t.ev, kept, m)
 	t.origP, t.cur = resize(t.origP, kept, m), resize(t.cur, kept, m)
-	t.inBackbone, t.visitStamp = resize(t.inBackbone, kept, m), resize(t.visitStamp, kept, m)
+	t.inBackbone = resize(t.inBackbone, kept, m)
 	for _, id := range res.InsertedIDs {
 		e := edges[id]
 		t.eu[id], t.ev[id], t.origP[id] = int32(e.U), int32(e.V), e.P
-		t.cur[id], t.visitStamp[id], t.inBackbone[id] = 0, 0, false
+		t.cur[id], t.inBackbone[id] = 0, false
 	}
 	t.nBackbone = nBackbone
 }
@@ -331,26 +333,16 @@ func selectEdges(p []float64, inBackbone []bool, members bool, k int) []int {
 }
 
 // resyncAfterEdits rebuilds every numeric accumulator from scratch and
-// re-dirties exactly the vertices whose state changed; it returns the dirty
-// count. This is the keystone of the repair ≡ from-scratch guarantee, in two
-// halves:
-//
-// Bit-identity. Incremental patching (origDeg[u] += Δp and friends) would
-// leave accumulators ulps away from a fresh tracker's, and an ulp is enough
-// to flip a discrete branch (the entropy cap, the [0,1] clamp) into a
+// returns the number of vertices whose expected degree in G or G' changed
+// in any bit. It is the keystone of the repair ≡ from-scratch guarantee.
+// Incremental patching (origDeg[u] += Δp and friends) would leave
+// accumulators ulps away from a fresh tracker's, and an ulp is enough to
+// flip a discrete branch (the entropy cap, the [0,1] clamp) into a
 // macroscopically different probability sequence. Instead every accumulator
 // is recomputed with the exact float expressions, in the exact order, that
 // building a fresh tracker over the post-edit graph and replaying the carried
 // probabilities (ascending id, via setProb from zero) would use — so the
 // repaired tracker and a from-scratch one agree on every bit.
-//
-// Worklist exactness. A sweep may skip an edge only if its recomputed step
-// would provably be zero: the k = 1 step is a pure function of the endpoint
-// discrepancies, and an unstamped vertex has bit-identical origDeg and curDeg
-// before and after the resync, so a skipped edge recomputes exactly the
-// zero step of its last visit. Stamping precisely the changed vertices (not
-// just the edited region) also covers resync-induced ulp shifts on vertices
-// whose accumulation history differed from the fresh ascending order.
 func (t *tracker) resyncAfterEdits() int {
 	n := t.n
 	newOrig := t.g.ExpectedDegrees()
@@ -363,11 +355,9 @@ func (t *tracker) resyncAfterEdits() int {
 		}
 		missing += t.origP[id] - t.cur[id]
 	}
-	t.tick++
 	dirty := 0
 	for u := 0; u < n; u++ {
 		if newOrig[u] != t.origDeg[u] || newCur[u] != t.curDeg[u] {
-			t.vertStamp[u] = t.tick
 			dirty++
 		}
 	}
@@ -379,7 +369,6 @@ func (t *tracker) resyncAfterEdits() int {
 		}
 	}
 	t.missing = missing
-	t.massStamp = t.tick
 	t.objectiveD1(Absolute) // exact-resync both D1 accumulators
 	return dirty
 }

@@ -22,9 +22,9 @@ import (
 // of the same pipeline state: rebuild the post-edit graph independently,
 // carry each surviving edge's probability by endpoint pair, apply the same
 // deterministic backbone-maintenance rule, build a fresh tracker and run the
-// same capped sweeps *densely* (no worklist). Any under-dirtying bug in
-// Repair's worklist stamping, any drift in its accumulator resync, or any
-// divergence in its maintenance rule breaks the comparison.
+// same capped sweeps. Any bug in Repair's carry of per-edge state across the
+// edit, any drift in its accumulator resync, or any divergence in its
+// maintenance rule breaks the comparison.
 
 func repairKey(u, v int) uint64 {
 	if u > v {
@@ -173,9 +173,8 @@ func (s *scratchPipeline) apply(tt *testing.T, ctx context.Context, batch []ugra
 	}
 
 	// Fresh tracker over the rebuilt graph, carried probabilities replayed
-	// ascending by id, then the same capped sweeps — dense, so the worklist
-	// optimization is out of the picture and the repaired side's skips must
-	// prove themselves exact.
+	// ascending by id, then the same capped sweeps, so the repaired side's
+	// resynced accumulators must prove themselves exact.
 	t := newTracker(g, nil)
 	var bb []int
 	for id := 0; id < m; id++ {
@@ -189,7 +188,7 @@ func (s *scratchPipeline) apply(tt *testing.T, ctx context.Context, batch []ugra
 			t.setProb(id, c)
 		}
 	}
-	o := GDBOptions{Discrepancy: s.opts.Discrepancy, K: 1, H: s.opts.H, Tau: s.opts.Tau, DenseSweeps: true}
+	o := GDBOptions{Discrepancy: s.opts.Discrepancy, K: 1, H: s.opts.H, Tau: s.opts.Tau}
 	o.defaults(s.n)
 	o.MaxIters = s.opts.RepairSweeps
 	if _, err := gdbSweeps(ctx, t, bb, o); err != nil {

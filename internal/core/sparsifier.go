@@ -100,10 +100,6 @@ type Options struct {
 	// Seed drives backbone randomization. Runs are fully deterministic
 	// given (graph, alpha, Options).
 	Seed int64
-	// DenseSweeps disables the epoch worklist in GDB sweeps (including
-	// EMD's M-phase); see GDBOptions.DenseSweeps. Ablation only — output
-	// is identical either way.
-	DenseSweeps bool
 	// Progress, when non-nil, receives a RunStats snapshot after every
 	// GDB sweep, EMD round, or batch of LP pivots.
 	Progress func(RunStats)
@@ -132,7 +128,6 @@ func Sparsify(ctx context.Context, g *ugraph.Graph, alpha float64, opts Options)
 			H:           opts.H,
 			Tau:         opts.Tau,
 			MaxIters:    opts.MaxIters,
-			DenseSweeps: opts.DenseSweeps,
 			Progress:    opts.Progress,
 		})
 	case MethodEMD:
@@ -144,7 +139,6 @@ func Sparsify(ctx context.Context, g *ugraph.Graph, alpha float64, opts Options)
 			H:           opts.H,
 			Tau:         opts.Tau,
 			MaxRounds:   opts.MaxIters,
-			DenseSweeps: opts.DenseSweeps,
 			Progress:    opts.Progress,
 		})
 	case MethodLP:

@@ -22,14 +22,15 @@ import (
 )
 
 // TestSweepOutputPinned pins the exact output bits of the sweep engine. The
-// worklist-vs-dense and repair-vs-scratch suites compare two runs of the
-// same sweep code, so an arithmetic change both sides share (a reordered
-// sum, a fused update) would pass them; these digests would not. Each one is
-// an FNV-64a hash over every output probability (math.Float64bits), the
-// run's Iterations and EdgeVisits and the bits of its ObjectiveD1 — for
-// GDB and EMD also of every Progress snapshot — on a fixed gen.Social
-// graph. A digest may change only with a deliberate change
-// to the optimization's results.
+// repair-vs-scratch suite compares two runs of the same sweep code, so an
+// arithmetic change both sides share (a reordered sum, a fused update) would
+// pass it; these digests would not. Each one is an FNV-64a hash over every
+// output probability (math.Float64bits), the run's Iterations and the bits
+// of its ObjectiveD1 — for GDB and EMD also of every Progress snapshot — on
+// a fixed gen.Social graph. A digest may change only with a deliberate
+// change to the optimization's results. The work counter EdgeVisits is not
+// hashed; it is checked exactly instead: every sweep visits every backbone
+// edge.
 func TestSweepOutputPinned(t *testing.T) {
 	g, err := gen.Social(gen.SocialConfig{N: 300, AvgDegree: 10, MeanProb: 0.2, Seed: 29})
 	if err != nil {
@@ -41,46 +42,56 @@ func TestSweepOutputPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]uint64{
-		"gdb/k1/absolute":       0x1ccf57d283d477e2,
-		"gdb/k1/relative":       0x9a6aa8b00b0c2f3b,
-		"gdb/k1/absolute/dense": 0xbd92df4280d8ea41,
-		"gdb/k1/relative/h1":    0xee488165d55440cd,
-		"gdb/k2/absolute":       0xb5f363d8e3f4cddc,
-		"gdb/k2/relative":       0x1dd30bdcc27caeed,
-		"gdb/kall/absolute":     0x8504d5b8ecf3c7c3,
-		"gdb/kall/relative":     0x9cea35a2eb6c9116,
-		"emd/absolute":          0x68c9d4393012d8ca,
-		"emd/relative":          0x3d6ca4c80a286786,
-		"dynamic/gdb/absolute":  0x254bf61ad0a4aecb,
-		"dynamic/emd/relative":  0xfbe7190c930ca7a5,
+		"gdb/k1/absolute":      0x69c545046c2d435c,
+		"gdb/k1/relative":      0xfee49c188b801260,
+		"gdb/k1/relative/h1":   0x7be3c18920e53e01,
+		"gdb/k2/absolute":      0x7b8ed910f698f43d,
+		"gdb/k2/relative":      0x123b06eed40260a4,
+		"gdb/kall/absolute":    0xb8dc10131024fffe,
+		"gdb/kall/relative":    0xc6633676e5087d67,
+		"emd/absolute":         0x04fe935ea98c404e,
+		"emd/relative":         0xf6a4402e0d2b6b32,
+		"dynamic/gdb/absolute": 0x8ece3a9fe39f6de9,
+		"dynamic/emd/relative": 0x8c85e9a044706546,
 	}
 	got := make(map[string]uint64, len(want))
+	// fullSweeps reports whether a GDB run's work counter reads Iterations
+	// full sweeps of the backbone.
+	fullSweeps := func(st RunStats) bool { return st.EdgeVisits == st.Iterations*len(backbone) }
 
 	gdbCases := []struct {
-		name  string
-		k     int
-		dt    Discrepancy
-		h     float64
-		dense bool
+		name string
+		k    int
+		dt   Discrepancy
+		h    float64
 	}{
-		{"gdb/k1/absolute", 1, Absolute, 0, false},
-		{"gdb/k1/relative", 1, Relative, 0, false},
-		{"gdb/k1/absolute/dense", 1, Absolute, 0, true},
-		{"gdb/k1/relative/h1", 1, Relative, 1, false},
-		{"gdb/k2/absolute", 2, Absolute, 0, false},
-		{"gdb/k2/relative", 2, Relative, 0, false},
-		{"gdb/kall/absolute", KAll, Absolute, 0, false},
-		{"gdb/kall/relative", KAll, Relative, 0, false},
+		{"gdb/k1/absolute", 1, Absolute, 0},
+		{"gdb/k1/relative", 1, Relative, 0},
+		{"gdb/k1/relative/h1", 1, Relative, 1},
+		{"gdb/k2/absolute", 2, Absolute, 0},
+		{"gdb/k2/relative", 2, Relative, 0},
+		{"gdb/kall/absolute", KAll, Absolute, 0},
+		{"gdb/kall/relative", KAll, Relative, 0},
 	}
 	for _, c := range gdbCases {
 		d := newPinDigest()
-		out, st, err := GDB(ctx, g, backbone, GDBOptions{Discrepancy: c.dt, K: c.k, H: c.h,
-			DenseSweeps: c.dense, Progress: d.progress})
+		partial := 0 // Progress snapshots that are not full sweeps
+		progress := func(st RunStats) {
+			if !fullSweeps(st) {
+				partial++
+			}
+			d.progress(st)
+		}
+		out, st, err := GDB(ctx, g, backbone, GDBOptions{Discrepancy: c.dt, K: c.k, H: c.h, Progress: progress})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !fullSweeps(*st) || partial > 0 {
+			t.Errorf("%s: %d edge visits in %d sweeps (%d partial snapshots), want %d × |backbone| = %d",
+				c.name, st.EdgeVisits, st.Iterations, partial, st.Iterations, st.Iterations*len(backbone))
+		}
 		d.graph(out)
-		d.stats(st.Iterations, st.EdgeVisits, st.ObjectiveD1)
+		d.stats(st.Iterations, st.ObjectiveD1)
 		got[c.name] = d.Sum64()
 	}
 	for _, dt := range []Discrepancy{Absolute, Relative} {
@@ -89,8 +100,14 @@ func TestSweepOutputPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Swaps keep the backbone's size, so every M-phase sweep visits
+		// len(backbone) edges.
+		if st.EdgeVisits == 0 || st.EdgeVisits%len(backbone) != 0 {
+			t.Errorf("emd/%v: %d edge visits, not a positive multiple of |backbone| = %d",
+				dt, st.EdgeVisits, len(backbone))
+		}
 		d.graph(out)
-		d.stats(st.Iterations, st.EdgeVisits, st.ObjectiveD1)
+		d.stats(st.Iterations, st.ObjectiveD1)
 		d.u64(uint64(st.Swaps))
 		got["emd/"+dt.String()] = d.Sum64()
 	}
@@ -116,7 +133,11 @@ func TestSweepOutputPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d.stats(st.Sweeps, st.EdgeVisits, st.ObjectiveD1)
+			if w := st.Sweeps * len(dyn.Backbone()); st.EdgeVisits != w {
+				t.Errorf("%s: repair made %d edge visits in %d sweeps, want %d × %d = %d",
+					c.name, st.EdgeVisits, st.Sweeps, st.Sweeps, len(dyn.Backbone()), w)
+			}
+			d.stats(st.Sweeps, st.ObjectiveD1)
 			d.u64(uint64(st.DirtyVertices))
 			d.u64(uint64(st.BackboneAdded))
 			d.u64(uint64(st.BackboneRemoved))
@@ -195,9 +216,8 @@ func (d *pinDigest) u64(x uint64) {
 	d.Write(d.buf[:])
 }
 
-func (d *pinDigest) stats(iters, visits int, d1 float64) {
+func (d *pinDigest) stats(iters int, d1 float64) {
 	d.u64(uint64(iters))
-	d.u64(uint64(visits))
 	d.u64(math.Float64bits(d1))
 }
 
@@ -205,7 +225,7 @@ func (d *pinDigest) stats(iters, visits int, d1 float64) {
 // ObjectiveD1 is the incrementally maintained objective: this pins the
 // sweep's running accumulators, not just the exact rescan at the end.
 func (d *pinDigest) progress(st RunStats) {
-	d.stats(st.Iterations, st.EdgeVisits, st.ObjectiveD1)
+	d.stats(st.Iterations, st.ObjectiveD1)
 	d.u64(uint64(st.Swaps))
 }
 

@@ -2,6 +2,7 @@ package ds
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -62,6 +63,35 @@ func TestIndexedMaxHeapUpdate(t *testing.T) {
 	h.Update(2, 5) // upsert re-inserts
 	if it, _ := h.Top(); it != 2 {
 		t.Errorf("after upsert Top = %d, want 2", it)
+	}
+}
+
+// TestIndexedMaxHeapUnchangedUpdateKeepsLayout pins the property EMD's
+// E-phase resync relies on: re-assigning every item its current priority
+// leaves the heap exactly as it was — the same layout, hence the same Top
+// among tied items — so refreshing all vertices equals refreshing only the
+// changed ones.
+func TestIndexedMaxHeapUnchangedUpdateKeepsLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	const n = 64
+	h := NewIndexedMaxHeap(n)
+	for i := 0; i < n; i++ {
+		h.Push(i, float64(rng.Intn(4))) // many ties per priority level
+	}
+	for k := 0; k < n; k++ {
+		h.Update(rng.Intn(n), float64(rng.Intn(4)))
+	}
+	items := append([]int(nil), h.items...)
+	pos := append([]int(nil), h.pos...)
+	top, topPrio := h.Top()
+	for i := 0; i < n; i++ {
+		h.Update(i, h.Priority(i))
+	}
+	if !slices.Equal(h.items, items) || !slices.Equal(h.pos, pos) {
+		t.Errorf("unchanged updates moved items:\nitems %v\nwant  %v", h.items, items)
+	}
+	if it, pr := h.Top(); it != top || pr != topPrio {
+		t.Errorf("Top = (%d,%v), want (%d,%v)", it, pr, top, topPrio)
 	}
 }
 

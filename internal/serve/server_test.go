@@ -181,6 +181,23 @@ func TestSparsifyValidation(t *testing.T) {
 	}
 }
 
+// TestSparsifyRejectsRemovedSweepField pins the wire effect of dropping
+// the sweep-schedule ablation field from the sparsify request: it is now an
+// unknown field like any other, answered with the typed 400 bad_request.
+func TestSparsifyRejectsRemovedSweepField(t *testing.T) {
+	const field = "dense_sweeps"
+	s, _ := newTestServer(t, Config{})
+	body := sparsifyBody("g", 0.3, "gdb", 1)
+	body[field] = true
+	w := do(t, s, "POST", "/v1/sparsify", body, nil)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("%s: %d, want 400 (%s)", field, w.Code, w.Body.String())
+	}
+	if env := decodeEnvelope(t, w); env.Code != CodeBadRequest || !strings.Contains(env.Message, field) {
+		t.Errorf("%s: envelope %+v, want %q naming the field", field, env, CodeBadRequest)
+	}
+}
+
 func TestQueryEndpointsAndDerivedGraphs(t *testing.T) {
 	s, g := newTestServer(t, Config{})
 

@@ -51,6 +51,7 @@ type Store struct {
 	evictions     int64
 	conversions   int64
 	compactFails  int64
+	spillFails    int64
 	patches       int64
 	convertDir    string
 	ownsConvert   bool
@@ -239,7 +240,8 @@ func heapGraphBytes(g *ugs.Graph) int64 {
 
 // Add registers (or replaces) a graph under name, bumping its generation.
 // When a budget is configured the graph is spilled to a .ugsb sidecar so it
-// is evictable; if spilling fails the graph stays resident unevictably.
+// is evictable; if spilling fails the graph stays resident unevictably and
+// the failure is counted (StoreStats.SpillFailures).
 func (s *Store) Add(name string, g *ugs.Graph) error {
 	if !graphNameRE.MatchString(name) {
 		return fmt.Errorf("serve: invalid graph name %q (want %s)", name, graphNameRE)
@@ -251,23 +253,9 @@ func (s *Store) Add(name string, g *ugs.Graph) error {
 	// concurrent queries. The temp file is renamed into place under the
 	// lock once the generation is known.
 	var tmp string
+	var spillErr error
 	if s.cfg.BudgetBytes > 0 {
-		s.mu.Lock()
-		dir, derr := s.convertDirLocked()
-		s.mu.Unlock()
-		if derr == nil {
-			if f, err := os.CreateTemp(dir, name+".*.tmp"); err == nil {
-				tmp = f.Name()
-				werr := ugs.WriteBinaryGraph(f, g)
-				if cerr := f.Close(); werr == nil {
-					werr = cerr
-				}
-				if werr != nil {
-					os.Remove(tmp)
-					tmp = ""
-				}
-			}
-		}
+		tmp, spillErr = s.spillTemp(name, g)
 	}
 
 	s.mu.Lock()
@@ -286,22 +274,44 @@ func (s *Store) Add(name string, g *ugs.Graph) error {
 	e := &storeEntry{name: name, gen: gen, info: info, lastUse: s.tickLocked()}
 	if tmp != "" {
 		final := filepath.Join(filepath.Dir(tmp), fmt.Sprintf("%s.g%d.ugsb", name, gen))
-		if err := os.Rename(tmp, final); err == nil {
-			if fp, err := statFP(final); err == nil {
-				e.path, e.sidecar, e.verified, e.fp = final, true, true, fp
-				s.conversions++
-			} else {
-				os.Remove(final)
-			}
-		} else {
+		var fp fileFP
+		if spillErr = os.Rename(tmp, final); spillErr != nil {
 			os.Remove(tmp)
+		} else if fp, spillErr = statFP(final); spillErr != nil {
+			os.Remove(final)
+		} else {
+			e.path, e.sidecar, e.verified, e.fp = final, true, true, fp
+			s.conversions++
 		}
+	}
+	if spillErr != nil {
+		s.spillFails++
 	}
 	e.res = &resident{g: g, bytes: bytes}
 	s.entries[name] = e
 	s.residentBytes += bytes
 	s.evictLocked(e)
 	return nil
+}
+
+// spillTemp writes g to a new temporary file in the convert directory and
+// returns its path. On error no file is left behind.
+func (s *Store) spillTemp(name string, g *ugs.Graph) (string, error) {
+	s.mu.Lock()
+	dir, err := s.convertDirLocked()
+	s.mu.Unlock()
+	if err != nil {
+		return "", err
+	}
+	f, err := os.CreateTemp(dir, name+".*.tmp")
+	if err != nil {
+		return "", err
+	}
+	if err := errors.Join(ugs.WriteBinaryGraph(f, g), f.Close()); err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
 }
 
 // AddReader parses the text interchange format from r and registers the
@@ -929,6 +939,9 @@ type StoreStats struct {
 	// CompactionFailures counts patch-log compactions abandoned because the
 	// sidecar could not be written; the graph keeps its base file + log.
 	CompactionFailures int64 `json:"compaction_failures"`
+	// SpillFailures counts uploads (Add under a budget) whose .ugsb spill
+	// could not be written; each such graph stays resident and unevictable.
+	SpillFailures int64 `json:"spill_failures"`
 	// Patches counts applied edit batches across all graphs.
 	Patches int64 `json:"patches"`
 	// Quarantined counts names currently under load-failure backoff;
@@ -950,6 +963,7 @@ func (s *Store) Stats() StoreStats {
 		Evictions:          s.evictions,
 		Conversions:        s.conversions,
 		CompactionFailures: s.compactFails,
+		SpillFailures:      s.spillFails,
 		Patches:            s.patches,
 		QuarantineRejects:  s.quarRejects,
 	}

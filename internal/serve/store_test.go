@@ -277,6 +277,33 @@ func TestStoreUploadSpillEvictable(t *testing.T) {
 	}
 }
 
+// TestStoreSpillFailureCounted: when an upload cannot be spilled to its
+// .ugsb sidecar (here the convert directory sits under a regular file), the
+// failure is counted and the graph is still served from the heap.
+func TestStoreSpillFailureCounted(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(StoreConfig{BudgetBytes: 1 << 20, ConvertDir: filepath.Join(blocker, "convert")})
+	t.Cleanup(func() { s.Close() })
+	g := ugs.TwitterLike(40, 3)
+	if err := s.Add("up", g); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.SpillFailures != 1 || st.Conversions != 0 {
+		t.Errorf("spill failures %d, conversions %d, want 1 and 0", st.SpillFailures, st.Conversions)
+	}
+	sg, id, release, err := s.Acquire("up")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if id != "up@1" || !sg.Equal(g) {
+		t.Errorf("served %q, equal %v; want up@1 with the uploaded graph", id, sg.Equal(g))
+	}
+}
+
 // TestStoreCompactionFailureCounted: when the patch-log compaction cannot
 // write its sidecar (here the convert directory sits under a regular file),
 // the failure is counted and the graph is still served at its patched

@@ -24,7 +24,6 @@ type config struct {
 	tau         float64
 	maxIters    int
 	seed        int64
-	denseSweeps bool
 	progress    func(RunStats)
 }
 
@@ -53,7 +52,6 @@ func (c *config) coreOptions(m Method) core.Options {
 		Tau:         c.tau,
 		MaxIters:    c.maxIters,
 		Seed:        c.seed,
-		DenseSweeps: c.denseSweeps,
 		Progress:    c.progress,
 	}
 }
@@ -146,19 +144,6 @@ func WithMaxIters(n int) Option {
 			return fmt.Errorf("ugs: iteration bound %d below 1", n)
 		}
 		c.maxIters = n
-		return nil
-	}
-}
-
-// WithDenseSweeps disables the epoch-stamped worklist inside GDB sweeps
-// (including EMD's M-phase), recomputing every backbone edge's update step
-// on every sweep. The output is identical with or without the worklist —
-// the worklist skips only steps that are provably no-ops — so this option
-// exists for ablation benchmarks and equivalence tests. Used by gdb and
-// emd.
-func WithDenseSweeps() Option {
-	return func(c *config) error {
-		c.denseSweeps = true
 		return nil
 	}
 }

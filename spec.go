@@ -39,9 +39,6 @@ type Spec struct {
 	// Seed drives all randomness; runs are deterministic given
 	// (graph, alpha, Spec).
 	Seed int64 `json:"seed,omitempty"`
-	// DenseSweeps disables the GDB/EMD sweep worklist (ablation only; the
-	// output is identical either way, so Key ignores it).
-	DenseSweeps bool `json:"dense_sweeps,omitempty"`
 }
 
 // normalized returns s with empty optional fields replaced by their canonical
@@ -62,9 +59,8 @@ func (s Spec) normalized() Spec {
 // Key returns a canonical string identifying the sparsification output the
 // Spec describes on a given input: equal Keys guarantee bit-identical output
 // graphs on the same (graph, alpha). It is the cache key used by ugs-serve,
-// prefixed there with the graph and alpha. Key is exact — every
-// output-affecting field appears in fixed order with defaults spelled out —
-// and excludes DenseSweeps, which by contract does not change the output.
+// prefixed there with the graph and alpha. Key is exact: every field
+// appears in fixed order with defaults spelled out.
 func (s Spec) Key() string {
 	n := s.normalized()
 	var b strings.Builder
@@ -123,9 +119,6 @@ func (s Spec) Options() ([]Option, error) {
 	}
 	if s.MaxIters != 0 {
 		opts = append(opts, WithMaxIters(s.MaxIters))
-	}
-	if s.DenseSweeps {
-		opts = append(opts, WithDenseSweeps())
 	}
 	// Functional options validate when applied; apply them to a throwaway
 	// config now so a bad Spec fails here rather than at Lookup time.

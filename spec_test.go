@@ -20,11 +20,6 @@ func TestSpecKeyCanonicalizesDefaults(t *testing.T) {
 	if implicit.Key() != explicit.Key() {
 		t.Errorf("default spelled out changes key:\n%s\n%s", implicit.Key(), explicit.Key())
 	}
-	dense := implicit
-	dense.DenseSweeps = true
-	if dense.Key() != implicit.Key() {
-		t.Errorf("DenseSweeps (output-identical ablation) changes key:\n%s\n%s", dense.Key(), implicit.Key())
-	}
 }
 
 func TestSpecKeySeparatesDistinctConfigs(t *testing.T) {
