@@ -16,9 +16,17 @@ import (
 // A non-positive capacity disables retention (every Do recomputes) but keeps
 // the singleflight sharing, which is useful for tests and for callers that
 // only want request coalescing.
+//
+// Keys embed the versioned ID of the graph a value was computed from, so an
+// entry of a retired graph can never be hit; the owner removes such entries
+// with purge to free their memory. live, when set, closes the race with an
+// in-flight computation: after Do or Replace inserts and unlocks, an entry
+// whose graph is no longer live is removed again, so a computation that
+// finishes after its graph's purge leaves nothing behind.
 type Cache[V any] struct {
 	capacity int
 	onEvict  func(key string, val V)
+	live     func(val V) bool
 
 	mu       sync.Mutex
 	ll       *list.List // front = most recently used
@@ -29,6 +37,7 @@ type Cache[V any] struct {
 	misses    atomic.Int64
 	shared    atomic.Int64
 	evictions atomic.Int64
+	purged    atomic.Int64
 }
 
 type cacheEntry[V any] struct {
@@ -53,8 +62,12 @@ func NewCache[V any](capacity int) *Cache[V] {
 	}
 }
 
-// OnEvict installs a callback invoked (outside the cache lock) for every
-// entry dropped by LRU pressure. Install before first use.
+// OnEvict installs a callback invoked (outside the cache lock) for every key
+// that leaves the cache on its own: dropped by LRU pressure, or removed right
+// after insertion because its graph is no longer live. A value Replace
+// overwrites under a key that stays resident is not reported, and neither
+// are entries removed by purge (the purging caller knows them). Install
+// before first use.
 func (c *Cache[V]) OnEvict(fn func(key string, val V)) { c.onEvict = fn }
 
 // Get returns the cached value for key, refreshing its recency. It never
@@ -107,62 +120,119 @@ func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error)
 
 	f.val, f.err = compute()
 	var evicted []cacheEntry[V]
+	inserted := f.err == nil && c.capacity > 0
 	c.mu.Lock()
 	delete(c.inflight, key)
-	if f.err == nil && c.capacity > 0 {
+	if inserted {
 		c.entries[key] = c.ll.PushFront(&cacheEntry[V]{key: key, val: f.val})
-		for c.ll.Len() > c.capacity {
-			oldest := c.ll.Back()
-			e := oldest.Value.(*cacheEntry[V])
-			c.ll.Remove(oldest)
-			delete(c.entries, e.key)
-			evicted = append(evicted, *e)
-		}
+		evicted = c.trimLocked()
 	}
 	c.mu.Unlock()
 	close(f.done)
-	if c.onEvict != nil {
-		for _, e := range evicted {
-			c.evictions.Add(1)
-			c.onEvict(e.key, e.val)
-		}
-	} else {
-		c.evictions.Add(int64(len(evicted)))
+	c.evicted(evicted)
+	if inserted {
+		c.dropIfDead(key, f.val)
 	}
 	return f.val, false, f.err
+}
+
+// trimLocked drops least-recently-used entries beyond capacity and returns
+// them for the eviction callback. Callers hold c.mu.
+func (c *Cache[V]) trimLocked() []cacheEntry[V] {
+	var evicted []cacheEntry[V]
+	for c.ll.Len() > c.capacity {
+		oldest := c.ll.Back()
+		e := oldest.Value.(*cacheEntry[V])
+		c.ll.Remove(oldest)
+		delete(c.entries, e.key)
+		evicted = append(evicted, *e)
+	}
+	return evicted
+}
+
+// evicted counts LRU-pressure drops and reports them to the callback.
+func (c *Cache[V]) evicted(es []cacheEntry[V]) {
+	c.evictions.Add(int64(len(es)))
+	if c.onEvict != nil {
+		for _, e := range es {
+			c.onEvict(e.key, e.val)
+		}
+	}
+}
+
+// dropIfDead is the post-insert liveness check: it removes key again when
+// val's graph was retired while val was being computed. It runs without
+// c.mu, so live may take other locks. Any value resident under key was
+// computed from the same graph (keys embed its versioned ID), so removal by
+// key is exact.
+func (c *Cache[V]) dropIfDead(key string, val V) {
+	if c.live == nil || c.live(val) {
+		return
+	}
+	c.mu.Lock()
+	elem, ok := c.entries[key]
+	if ok {
+		c.ll.Remove(elem)
+		delete(c.entries, key)
+	}
+	c.mu.Unlock()
+	if ok {
+		c.purged.Add(1)
+		if c.onEvict != nil {
+			c.onEvict(key, elem.Value.(*cacheEntry[V]).val)
+		}
+	}
+}
+
+// purge removes every entry whose value match selects and returns their
+// keys. It scans the whole LRU under the lock; match must not block.
+func (c *Cache[V]) purge(match func(val V) bool) []string {
+	var keys []string
+	c.mu.Lock()
+	for elem := c.ll.Front(); elem != nil; {
+		next := elem.Next()
+		if e := elem.Value.(*cacheEntry[V]); match(e.val) {
+			c.ll.Remove(elem)
+			delete(c.entries, e.key)
+			keys = append(keys, e.key)
+		}
+		elem = next
+	}
+	c.mu.Unlock()
+	c.purged.Add(int64(len(keys)))
+	return keys
+}
+
+// has reports whether key is resident, without touching its recency.
+func (c *Cache[V]) has(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
 }
 
 // Replace installs val under key, overwriting any resident entry — the
 // stale-while-revalidate path: a background recompute swaps its fresh result
 // in under the same key so later hits stop serving the degraded one. The
-// displaced value (if any) is handed to the eviction callback. A no-op when
+// overwritten value is simply dropped (its key stays resident); an entry
+// pushed out by LRU pressure goes to the eviction callback. A no-op when
 // retention is disabled.
 func (c *Cache[V]) Replace(key string, val V) {
 	if c.capacity <= 0 {
 		return
 	}
-	var displaced *cacheEntry[V]
+	var evicted []cacheEntry[V]
 	c.mu.Lock()
 	if elem, ok := c.entries[key]; ok {
-		e := elem.Value.(*cacheEntry[V])
-		displaced = &cacheEntry[V]{key: e.key, val: e.val}
-		e.val = val
+		elem.Value.(*cacheEntry[V]).val = val
 		c.ll.MoveToFront(elem)
 	} else {
 		c.entries[key] = c.ll.PushFront(&cacheEntry[V]{key: key, val: val})
-		if c.ll.Len() > c.capacity {
-			oldest := c.ll.Back()
-			e := oldest.Value.(*cacheEntry[V])
-			c.ll.Remove(oldest)
-			delete(c.entries, e.key)
-			displaced = e
-			c.evictions.Add(1)
-		}
+		evicted = c.trimLocked()
 	}
 	c.mu.Unlock()
-	if displaced != nil && c.onEvict != nil {
-		c.onEvict(displaced.key, displaced.val)
-	}
+	c.evicted(evicted)
+	c.dropIfDead(key, val)
 }
 
 // Len reports the number of resident entries.
@@ -180,6 +250,9 @@ type CacheStats struct {
 	Misses    int64 `json:"misses"`
 	Shared    int64 `json:"shared"`
 	Evictions int64 `json:"evictions"`
+	// Purged counts entries removed because the graph they were computed
+	// from was retired; Evictions counts LRU pressure only.
+	Purged int64 `json:"purged"`
 }
 
 // Stats snapshots the cache counters. Shared counts Do calls that joined an
@@ -192,5 +265,6 @@ func (c *Cache[V]) Stats() CacheStats {
 		Misses:    c.misses.Load(),
 		Shared:    c.shared.Load(),
 		Evictions: c.evictions.Load(),
+		Purged:    c.purged.Load(),
 	}
 }

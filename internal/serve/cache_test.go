@@ -38,6 +38,9 @@ func TestCacheHitMissAndLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheOnEvict: the callback sees exactly the keys that leave the cache
+// by themselves — LRU pressure from Do or Replace — and not a value Replace
+// overwrites under a key that stays resident.
 func TestCacheOnEvict(t *testing.T) {
 	c := NewCache[string](1)
 	var evicted []string
@@ -47,6 +50,47 @@ func TestCacheOnEvict(t *testing.T) {
 	c.Do(ctx, "y", func() (string, error) { return "2", nil })
 	if len(evicted) != 1 || evicted[0] != "x=1" {
 		t.Errorf("evicted: %v", evicted)
+	}
+	c.Replace("y", "3")
+	if len(evicted) != 1 {
+		t.Errorf("overwriting a resident key reported %v", evicted[1:])
+	}
+	c.Replace("z", "4")
+	if len(evicted) != 2 || evicted[1] != "y=3" {
+		t.Errorf("evicted after Replace pushed y out: %v", evicted)
+	}
+	if st := c.Stats(); st.Evictions != 2 || st.Purged != 0 {
+		t.Errorf("stats: %+v", st)
+	}
+}
+
+// TestCacheDropsEntriesOfDeadGraphs: with a liveness check installed, a
+// value whose graph died while it was computed is handed to the caller but
+// not retained, and is reported as it leaves; purge removes what it matches.
+func TestCacheDropsEntriesOfDeadGraphs(t *testing.T) {
+	c := NewCache[string](4)
+	dead := map[string]bool{"old": true}
+	c.live = func(v string) bool { return !dead[v] }
+	var left []string
+	c.OnEvict(func(key, _ string) { left = append(left, key) })
+	ctx := context.Background()
+	if v, _, err := c.Do(ctx, "a", func() (string, error) { return "old", nil }); v != "old" || err != nil {
+		t.Fatalf("Do: %q %v", v, err)
+	}
+	c.Replace("b", "old")
+	c.Do(ctx, "c", func() (string, error) { return "new", nil })
+	c.Replace("d", "new")
+	if _, ok := c.Get("a"); ok || c.has("b") || !c.has("c") || !c.has("d") {
+		t.Fatalf("resident after insert: %d entries, want only c and d", c.Len())
+	}
+	if fmt.Sprint(left) != "[a b]" {
+		t.Errorf("reported %v, want [a b]", left)
+	}
+	if keys := c.purge(func(v string) bool { return v == "new" }); len(keys) != 2 || c.Len() != 0 {
+		t.Errorf("purge removed %v, %d left", keys, c.Len())
+	}
+	if st := c.Stats(); st.Purged != 4 || st.Evictions != 0 {
+		t.Errorf("stats: %+v", st)
 	}
 }
 

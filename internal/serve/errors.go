@@ -68,14 +68,18 @@ func writeError(w http.ResponseWriter, status int, code ErrorCode, msg string, r
 		w.Header().Set("Retry-After", strconv.FormatInt(int64(secs), 10))
 	}
 	w.WriteHeader(status)
+	// The envelope always encodes, so an error here is a failed write, which
+	// the response tap counts.
 	_ = json.NewEncoder(w).Encode(errorEnvelope{Error: APIError{Code: code, Message: msg, RetryAfterMS: ms}})
 }
 
 // responseTap wraps a ResponseWriter to record whether the handler committed
-// a response, so panic recovery knows if it may still write an envelope.
+// a response, so panic recovery knows if it may still write an envelope, and
+// whether a body write failed (typically the client went away mid-response).
 type responseTap struct {
 	http.ResponseWriter
-	wrote bool
+	wrote  bool
+	failed bool
 }
 
 func (t *responseTap) WriteHeader(status int) {
@@ -85,28 +89,33 @@ func (t *responseTap) WriteHeader(status int) {
 
 func (t *responseTap) Write(p []byte) (int, error) {
 	t.wrote = true
-	return t.ResponseWriter.Write(p)
+	n, err := t.ResponseWriter.Write(p)
+	if err != nil {
+		t.failed = true
+	}
+	return n, err
 }
 
-// recoverPanics converts handler panics into 500 internal_panic envelopes
-// instead of killing the connection (and, without http.Server's own recovery,
-// the process for non-HTTP callers). onPanic observes every recovered value
-// for counting; the stack is reported there so operators see it once, not
-// per client.
-func recoverPanics(next http.Handler, onPanic func(v any, stack []byte)) http.Handler {
+// tapResponses runs every request through a responseTap. It converts handler
+// panics into 500 internal_panic envelopes instead of killing the connection
+// (and, without http.Server's own recovery, the process for non-HTTP
+// callers); onPanic observes every recovered value for counting, with the
+// stack, so operators see it once, not per client. A request whose response
+// body failed to write is reported once to onWriteFailure: by then the
+// status is sent, so counting it is all the server can do.
+func tapResponses(next http.Handler, onPanic func(v any, stack []byte), onWriteFailure func()) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tap := &responseTap{ResponseWriter: w}
 		defer func() {
-			v := recover()
-			if v == nil {
-				return
-			}
-			if onPanic != nil {
+			if v := recover(); v != nil {
 				onPanic(v, debug.Stack())
+				if !tap.wrote {
+					writeError(tap, http.StatusInternalServerError, CodePanic,
+						fmt.Sprintf("recovered panic: %v", v), 0)
+				}
 			}
-			if !tap.wrote {
-				writeError(tap, http.StatusInternalServerError, CodePanic,
-					fmt.Sprintf("recovered panic: %v", v), 0)
+			if tap.failed {
+				onWriteFailure()
 			}
 		}()
 		next.ServeHTTP(tap, r)

@@ -30,8 +30,9 @@ type PatchRequest struct {
 }
 
 // PatchResponse reports an applied patch: the graph's new version (the
-// generation every cache key embeds, so all pre-patch cached results are
-// unreachable) and its post-patch summary.
+// generation every cache key embeds; the server has purged every cached
+// result of the previous one, sparsified results of it included) and its
+// post-patch summary.
 type PatchResponse struct {
 	Graph   string    `json:"graph"`
 	Version int       `json:"version"`

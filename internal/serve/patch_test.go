@@ -111,11 +111,13 @@ func TestPatchEndpoint(t *testing.T) {
 // TestPatchCacheCoherence is the stale-cache property test: after a PATCH,
 // no pre-patch cached sparsify or query result is ever served — every cache
 // key embeds the generation — and the post-patch query answer equals a
-// from-scratch computation on the patched graph.
+// from-scratch computation on the patched graph. The PATCH also purges every
+// entry computed from g@1, including the sparsified result's own query
+// answers and world blocks, and counts exactly those as purged.
 func TestPatchCacheCoherence(t *testing.T) {
 	s, g := newTestServer(t, Config{WorldCacheBytes: 1 << 20})
 
-	// Warm both caches at generation 1.
+	// Warm both caches at generation 1, on g and on its sparsified result.
 	var sp1 SparsifyResponse
 	if w := do(t, s, "POST", "/v1/sparsify", sparsifyBody("g", 0.3, "gdb", 4), &sp1); w.Code != 200 || sp1.Cached {
 		t.Fatalf("sparsify warm: %d %+v", w.Code, sp1)
@@ -128,8 +130,12 @@ func TestPatchCacheCoherence(t *testing.T) {
 	if w := do(t, s, "POST", "/v1/query", reliabilityBody("g", 600, 9), &q1b); w.Code != 200 || !q1b.Cached {
 		t.Fatalf("query repeat should hit the cache: %d %+v", w.Code, q1b)
 	}
-	if worlds := s.worlds.Stats(); worlds.Entries == 0 {
-		t.Fatal("world cache not exercised — the property below would be vacuous")
+	if w := do(t, s, "POST", "/v1/query", reliabilityBody(sp1.ID, 600, 9), nil); w.Code != 200 {
+		t.Fatalf("query on the sparsified result: %d %s", w.Code, w.Body.String())
+	}
+	worldsBefore := s.worlds.Stats()
+	if n := graphCounts(s); n["g@1"] < 2 || n[sp1.ID] < 2 {
+		t.Fatalf("caches not warmed for g@1 and %s: %v — the purge checks below would be vacuous", sp1.ID, n)
 	}
 
 	// Patch: delete one edge the queries depend on.
@@ -138,6 +144,28 @@ func TestPatchCacheCoherence(t *testing.T) {
 	var pr PatchResponse
 	if w := do(t, s, "PATCH", "/v1/graphs/g/edges", body, &pr); w.Code != 200 || pr.Version != 2 {
 		t.Fatalf("patch: %d %+v", w.Code, pr)
+	}
+
+	// Nothing computed from g@1 is left, and the result ID is gone.
+	assertNoEntriesFor(t, s, "g@1", sp1.ID)
+	if w := do(t, s, "GET", "/v1/sparsify/"+sp1.ID+"/graph", nil, nil); w.Code != 404 {
+		t.Errorf("sparsified result of g@1 downloads with %d, want 404", w.Code)
+	}
+	var stats StatsResponse
+	if w := do(t, s, "GET", "/v1/stats", nil, &stats); w.Code != 200 {
+		t.Fatalf("stats: %d", w.Code)
+	}
+	if c := stats.SparsifyCache; c.Size != 0 || c.Purged != 1 || c.Evictions != 0 {
+		t.Errorf("sparsify cache after patch: %+v (want 1 purged, 0 evictions)", c)
+	}
+	if c := stats.QueryCache; c.Size != 0 || c.Purged != 2 || c.Evictions != 0 {
+		t.Errorf("query cache after patch: %+v (want 2 purged, 0 evictions)", c)
+	}
+	if c := stats.WorldCache; c.Entries != 0 || c.Bytes != 0 || c.Purged != int64(worldsBefore.Entries) || c.Evictions != 0 {
+		t.Errorf("world cache after patch: %+v (want all %d blocks purged, 0 evictions)", c, worldsBefore.Entries)
+	}
+	if w := do(t, s, "POST", "/v1/query", reliabilityBody(sp1.ID, 600, 9), nil); w.Code != 404 || !strings.Contains(w.Body.String(), string(CodeUnknownGraph)) {
+		t.Errorf("query on the retired result: %d %s, want 404 unknown_graph", w.Code, w.Body.String())
 	}
 
 	// Identical requests must recompute — generation 1 entries unreachable.

@@ -19,6 +19,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -32,7 +33,8 @@ type Config struct {
 	// (every *.ugs / *.txt file).
 	GraphDir string
 	// SparsifyCacheSize bounds the resident sparsified results (default
-	// 128). Evicted results free their graph; re-requesting recomputes.
+	// 128). Evicted results free their graph, query answers and sampled
+	// worlds; re-requesting recomputes.
 	SparsifyCacheSize int
 	// QueryCacheSize bounds cached query results (default 1024).
 	QueryCacheSize int
@@ -128,7 +130,7 @@ type Server struct {
 	jobs    *Jobs
 	limiter *Limiter
 	mux     *http.ServeMux
-	handler http.Handler // mux wrapped in drain gate + panic recovery
+	handler http.Handler // mux wrapped in drain gate + response tap
 
 	// draining flips when shutdown begins: new work is rejected with a
 	// typed 503 (health checks still answer) while in-flight requests
@@ -152,6 +154,7 @@ type resilienceCounters struct {
 	revalidations atomic.Int64 // background full-budget recomputes started
 	retries       atomic.Int64 // compute retries after a foreign owner's cancellation
 	drainRejected atomic.Int64 // requests rejected because shutdown had begun
+	writeFailures atomic.Int64 // responses whose body write failed
 }
 
 type sparseEntry struct {
@@ -160,6 +163,7 @@ type sparseEntry struct {
 }
 
 type queryEntry struct {
+	graph     string // versioned ID of the graph the answer was computed on
 	sp, rl    []float64
 	connected float64
 	values    []float64 // per-vertex results (pagerank, clustering)
@@ -192,7 +196,12 @@ func New(base context.Context, cfg Config) (*Server, error) {
 	}
 	if cfg.WorldCacheBytes > 0 {
 		s.worlds = NewWorldCache(cfg.WorldCacheBytes)
+		s.worlds.live = s.live
 	}
+	s.store.onRetire = s.retire
+	s.sparse.OnEvict(func(id string, _ *sparseEntry) { s.retire(id) })
+	s.sparse.live = func(e *sparseEntry) bool { return s.live(e.resp.Original) }
+	s.queries.live = func(e *queryEntry) bool { return s.live(e.graph) }
 	if cfg.GraphDir != "" {
 		if _, err := s.store.LoadDir(cfg.GraphDir); err != nil {
 			return nil, err
@@ -212,9 +221,9 @@ func New(base context.Context, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.handler = recoverPanics(http.HandlerFunc(s.serveGated), func(v any, stack []byte) {
+	s.handler = tapResponses(http.HandlerFunc(s.serveGated), func(v any, stack []byte) {
 		s.resilience.handlerPanics.Add(1)
-	})
+	}, func() { s.resilience.writeFailures.Add(1) })
 	return s, nil
 }
 
@@ -258,6 +267,39 @@ func (s *Server) DrainJobs(timeout time.Duration) bool { return s.jobs.Wait(time
 // Close releases the store (mappings, sidecar directory). Call after the
 // base context is cancelled and jobs are drained.
 func (s *Server) Close() error { return s.store.Close() }
+
+// retire purges everything computed from a graph that no request can name
+// any more: a store generation a bump replaced, or a sparsified result that
+// left the sparsify cache. Sparsified results go first, transitively (a
+// result computed from a retired graph can only be reached through its own
+// ID, which goes with it), then the query answers and world blocks of every
+// retired ID. Keys embed the versioned ID, so correctness never depends on
+// this purge; it frees the memory. The caches' post-insert liveness checks
+// catch computations that finish after it.
+func (s *Server) retire(id string) {
+	dead := map[string]bool{id: true}
+	for ids := []string{id}; len(ids) > 0; {
+		ids = s.sparse.purge(func(e *sparseEntry) bool { return dead[e.resp.Original] })
+		for _, d := range ids {
+			dead[d] = true
+		}
+	}
+	s.queries.purge(func(e *queryEntry) bool { return dead[e.graph] })
+	if s.worlds != nil {
+		s.worlds.purge(func(graph string) bool { return dead[graph] })
+	}
+}
+
+// live reports whether a request can still name a graph ID: a store ID
+// ("name@gen"; graph names cannot contain '@') while it is its name's
+// current generation, a sparsified result's ID while the sparsify cache
+// holds it.
+func (s *Server) live(id string) bool {
+	if strings.Contains(id, "@") {
+		return s.store.live(id)
+	}
+	return s.sparse.has(id)
+}
 
 // acquireGraph resolves a request's graph reference: a store name first,
 // then a derived (sparsified) graph ID. The returned ID is cache-key safe
@@ -519,10 +561,9 @@ func (s *Server) handleDownloadSparse(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err := ugs.WriteGraph(w, e.graph); err != nil {
-		// Headers are gone; nothing to do beyond logging via the error path.
-		return
-	}
+	// Writing a resident graph fails only when the connection does, after
+	// the status is sent; the response tap counts it as a write failure.
+	_ = ugs.WriteGraph(w, e.graph)
 }
 
 // ------------------------------------------------------------------ query
@@ -740,13 +781,13 @@ func (s *Server) handlePairQuery(ctx context.Context, w http.ResponseWriter, req
 			if err != nil {
 				return nil, err
 			}
-			return &queryEntry{sp: sp, rl: rl, info: info}, nil
+			return &queryEntry{graph: gid, sp: sp, rl: rl, info: info}, nil
 		}
 		sp, rl, err := s.batcher.PairQuery(ctx, gid, g, pairs, opts)
 		if err != nil {
 			return nil, err
 		}
-		return &queryEntry{sp: sp, rl: rl, info: ugs.MCRunInfo{Samples: opts.Samples, Rounds: 1, Converged: true}}, nil
+		return &queryEntry{graph: gid, sp: sp, rl: rl, info: ugs.MCRunInfo{Samples: opts.Samples, Rounds: 1, Converged: true}}, nil
 	}
 	entry, cached, err := s.queryDo(ctx, key, func() (*queryEntry, error) { return compute(ctx, g, runOpts) })
 	if err != nil {
@@ -779,7 +820,7 @@ func (s *Server) handleConnectedQuery(ctx context.Context, w http.ResponseWriter
 		if err != nil {
 			return nil, err
 		}
-		return &queryEntry{connected: p, info: info}, nil
+		return &queryEntry{graph: gid, connected: p, info: info}, nil
 	}
 	entry, cached, err := s.queryDo(ctx, key, func() (*queryEntry, error) { return compute(ctx, g, runOpts) })
 	if err != nil {
@@ -861,7 +902,7 @@ func (s *Server) handleVectorQuery(ctx context.Context, w http.ResponseWriter, r
 		if err != nil {
 			return nil, err
 		}
-		return &queryEntry{values: values, info: ugs.MCRunInfo{Samples: opts.Samples, Rounds: 1, Converged: true}}, nil
+		return &queryEntry{graph: gid, values: values, info: ugs.MCRunInfo{Samples: opts.Samples, Rounds: 1, Converged: true}}, nil
 	})
 	if err != nil {
 		s.writeComputeErr(w, err)
@@ -1029,6 +1070,7 @@ type ResilienceStats struct {
 	Revalidations     int64 `json:"revalidations"`
 	Retries           int64 `json:"retries"`
 	DrainRejected     int64 `json:"drain_rejected"`
+	WriteFailures     int64 `json:"write_failures"`
 	HandlerPanics     int64 `json:"handler_panics"`
 	BatcherPanics     int64 `json:"batcher_panics"`
 	JobPanics         int64 `json:"job_panics"`
@@ -1050,6 +1092,7 @@ func (s *Server) resilienceStats() ResilienceStats {
 		Revalidations:     s.resilience.revalidations.Load(),
 		Retries:           s.resilience.retries.Load(),
 		DrainRejected:     s.resilience.drainRejected.Load(),
+		WriteFailures:     s.resilience.writeFailures.Load(),
 		HandlerPanics:     s.resilience.handlerPanics.Load(),
 		BatcherPanics:     batcher.Panics,
 		JobPanics:         s.jobs.Panics(),
@@ -1086,12 +1129,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // ---------------------------------------------------------------- helpers
 
+// writeJSON encodes v before sending the status, so a value that cannot be
+// encoded (a NaN, say) becomes a 500 envelope rather than an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	blob, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, "encoding response: "+err.Error(), 0)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	// A failed write is counted by the response tap.
+	_, _ = w.Write(append(blob, '\n'))
 }
 
 // writeErr emits the typed envelope with the code implied by the status —
@@ -1124,6 +1173,9 @@ func (s *Server) writeAcquireErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.resilience.timeouts.Add(1)
 		writeError(w, http.StatusGatewayTimeout, CodeDeadline, err.Error(), 0)
+	case errors.Is(err, context.Canceled):
+		// Shutdown cancelled the request before its graph was pinned.
+		s.writeCtxErr(w, err)
 	default:
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error(), 0)
 	}
@@ -1133,7 +1185,8 @@ func (s *Server) writeAcquireErr(w http.ResponseWriter, err error) {
 // typed codes, anything else is the caller's fault.
 func (s *Server) writeRequestErr(w http.ResponseWriter, err error) {
 	var qe *QuarantineError
-	if errors.As(err, &qe) || errors.Is(err, ErrUnknownGraph) || errors.Is(err, context.DeadlineExceeded) {
+	if errors.As(err, &qe) || errors.Is(err, ErrUnknownGraph) ||
+		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		s.writeAcquireErr(w, err)
 		return
 	}

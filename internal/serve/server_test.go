@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -33,21 +35,29 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *ugs.Graph) {
 	return s, g
 }
 
-// do runs one request against the handler and decodes the JSON response.
-func do(t *testing.T, s *Server, method, path string, body any, out any) *httptest.ResponseRecorder {
-	t.Helper()
+// serve runs one request and returns the recorder; safe off the test
+// goroutine (it never fails the test itself). An io.Reader body is sent as
+// is, anything else as JSON (the test bodies always marshal).
+func serve(s *Server, method, path string, body any) *httptest.ResponseRecorder {
 	var r *http.Request
-	if body != nil {
-		blob, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r = httptest.NewRequest(method, path, bytes.NewReader(blob))
-	} else {
+	switch b := body.(type) {
+	case nil:
 		r = httptest.NewRequest(method, path, nil)
+	case io.Reader:
+		r = httptest.NewRequest(method, path, b)
+	default:
+		blob, _ := json.Marshal(b)
+		r = httptest.NewRequest(method, path, bytes.NewReader(blob))
 	}
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, r)
+	return w
+}
+
+// do runs one request against the handler and decodes the JSON response.
+func do(t *testing.T, s *Server, method, path string, body any, out any) *httptest.ResponseRecorder {
+	t.Helper()
+	w := serve(s, method, path, body)
 	if out != nil && w.Code < 300 {
 		if err := json.Unmarshal(w.Body.Bytes(), out); err != nil {
 			t.Fatalf("%s %s: bad JSON %v\n%s", method, path, err, w.Body.String())
@@ -465,6 +475,25 @@ func TestServerShutdownCancelsFlights(t *testing.T) {
 	if w.Code != 503 {
 		t.Errorf("sparsify after shutdown: %d, want 503 (draining)", w.Code)
 	}
+	// A request whose context is already cancelled fails at the graph
+	// acquire, not in the compute: the answer is the same 503.
+	for path, body := range map[string]any{
+		"/v1/sparsify":       sparsifyBody("g", 0.3, "emd", 1),
+		"/v1/query":          reliabilityBody("g", 64, 1),
+		"/v1/graphs/g/edges": map[string]any{"edits": []map[string]any{{"op": "delete", "u": 0, "v": 1}}},
+	} {
+		blob, _ := json.Marshal(body)
+		method := "POST"
+		if path == "/v1/graphs/g/edges" {
+			method = "PATCH"
+		}
+		r := httptest.NewRequest(method, path, bytes.NewReader(blob)).WithContext(ctx)
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, r)
+		if w.Code != 503 || !strings.Contains(w.Body.String(), string(CodeDraining)) {
+			t.Errorf("%s %s with a cancelled context: %d %s, want 503 draining", method, path, w.Code, w.Body.String())
+		}
+	}
 	if !s.DrainJobs(time.Second) {
 		t.Error("jobs did not drain")
 	}
@@ -668,5 +697,54 @@ func TestQueryWorldCacheShared(t *testing.T) {
 	}
 	if st.WorldCache.Hits < 4 {
 		t.Errorf("cross-kind reuse hits = %d, want ≥ 4", st.WorldCache.Hits)
+	}
+}
+
+// brokenConn is a ResponseWriter whose client has gone away: the status goes
+// out, every body write fails.
+type brokenConn struct {
+	header http.Header
+	status int
+}
+
+func (b *brokenConn) Header() http.Header    { return b.header }
+func (b *brokenConn) WriteHeader(status int) { b.status = status }
+
+func (b *brokenConn) Write([]byte) (int, error) {
+	if b.status == 0 {
+		b.status = http.StatusOK // like net/http, the first write sends a 200
+	}
+	return 0, errors.New("connection reset by peer")
+}
+
+// TestResponseWriteFailuresCounted: a request whose response body fails to
+// write is counted once under resilience.write_failures — for a streamed
+// graph download and for a JSON answer alike — and a normal request leaves
+// the counter alone.
+func TestResponseWriteFailuresCounted(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	var sp SparsifyResponse
+	if w := do(t, s, "POST", "/v1/sparsify", sparsifyBody("g", 0.3, "gdb", 1), &sp); w.Code != 200 {
+		t.Fatalf("sparsify: %d", w.Code)
+	}
+	failures := func() int64 {
+		var st StatsResponse
+		if w := do(t, s, "GET", "/v1/stats", nil, &st); w.Code != 200 {
+			t.Fatalf("stats: %d", w.Code)
+		}
+		return st.Resilience.WriteFailures
+	}
+	if n := failures(); n != 0 {
+		t.Fatalf("write_failures = %d before any failure", n)
+	}
+	for i, path := range []string{"/v1/sparsify/" + sp.ID + "/graph", "/v1/graphs/g"} {
+		conn := &brokenConn{header: http.Header{}}
+		s.Handler().ServeHTTP(conn, httptest.NewRequest("GET", path, nil))
+		if conn.status != 200 {
+			t.Fatalf("GET %s: status %d", path, conn.status)
+		}
+		if n := failures(); n != int64(i+1) {
+			t.Fatalf("after %d failed responses write_failures = %d", i+1, n)
+		}
 	}
 }

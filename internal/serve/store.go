@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -34,12 +35,19 @@ import (
 // sparsify or query still reads it; the last release closes it.
 //
 // Generations survive eviction. A name's generation bumps only when its
-// bytes actually change (re-upload, or the backing file's size/mtime
-// fingerprint differing on reload), so cached sparsify and query results —
-// keyed by "name@gen" — stay coherent across evict/reload cycles.
+// bytes actually change — a patch, a re-upload, a LoadDir re-load, a
+// quarantine re-registration, or the backing file's size/mtime fingerprint
+// differing on reload — so cached sparsify and query results, keyed by
+// "name@gen", stay coherent across evict/reload cycles. Each bump retires
+// the old "name@gen" for good: no request can name it again, and the store
+// reports it to its retirement hook once the store lock is released, so the
+// server can purge what it cached for that generation.
 type Store struct {
 	cfg StoreConfig
 	now func() time.Time // injectable clock for quarantine tests
+	// onRetire, when set, receives every retired "name@gen" ID, called
+	// without s.mu held.
+	onRetire func(id string)
 
 	mu            sync.Mutex
 	entries       map[string]*storeEntry
@@ -171,7 +179,12 @@ func statFP(path string) (fileFP, error) {
 var ErrUnknownGraph = errors.New("unknown graph")
 
 // graphNameRE constrains graph names to path- and cache-key-safe tokens.
+// Names never contain '@', so only store IDs ("name@gen") do.
 var graphNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]*$`)
+
+// graphID is the versioned identifier of a name's generation, the prefix of
+// every cache key computed from it.
+func graphID(name string, gen int) string { return name + "@" + strconv.Itoa(gen) }
 
 // NewStore returns an empty store.
 func NewStore(cfg StoreConfig) *Store {
@@ -258,6 +271,8 @@ func (s *Store) Add(name string, g *ugs.Graph) error {
 		tmp, spillErr = s.spillTemp(name, g)
 	}
 
+	var retired string
+	defer func() { s.retire(retired) }() // runs after the unlock below
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -266,11 +281,7 @@ func (s *Store) Add(name string, g *ugs.Graph) error {
 		}
 		return errors.New("serve: store closed")
 	}
-	gen := 1
-	if prev, ok := s.entries[name]; ok {
-		gen = prev.gen + 1
-		s.removeEntryLocked(prev)
-	}
+	gen, retired := s.replaceLocked(name)
 	e := &storeEntry{name: name, gen: gen, info: info, lastUse: s.tickLocked()}
 	if tmp != "" {
 		final := filepath.Join(filepath.Dir(tmp), fmt.Sprintf("%s.g%d.ugsb", name, gen))
@@ -328,9 +339,10 @@ func (s *Store) AddReader(name string, r io.Reader) (*ugs.Graph, error) {
 }
 
 // Patch applies one atomic edit batch to the graph registered under name and
-// bumps its generation, so every cached result keyed by "name@gen" — sparsify
-// plans, query answers, world-cache fill blocks — is unreachable for the
-// patched graph. It returns the post-patch summary and generation.
+// bumps its generation. The old "name@gen" goes to the retirement hook, so
+// every result cached under it — sparsify plans, query answers, world-cache
+// fill blocks, none of which the patched graph's keys can hit — is purged. It
+// returns the post-patch summary and generation.
 //
 // expectGen, when non-zero, is an optimistic-concurrency precondition: the
 // patch applies only if the graph is currently at that generation, otherwise
@@ -391,7 +403,7 @@ func (s *Store) Patch(ctx context.Context, name string, edits []ugs.EdgeEdit, ex
 		return GraphInfo{}, 0, fmt.Errorf("%w: graph %q is at version %d, patch expects %d", ErrPatchConflict, name, gen, expectGen)
 	}
 	s.dropResidentLocked(e) // our pin keeps the old mapping alive until release
-	e.gen++
+	retired := s.bumpLocked(e)
 	e.info = Info(name, ng)
 	e.res = &resident{g: ng, bytes: bytes}
 	e.lastUse = s.tickLocked()
@@ -408,6 +420,7 @@ func (s *Store) Patch(ctx context.Context, name string, edits []ugs.EdgeEdit, ex
 	info, gen := e.info, e.gen
 	s.evictLocked(e)
 	s.mu.Unlock()
+	s.retire(retired)
 
 	if compactPin != nil {
 		s.compactEntry(name, e, ng, gen)
@@ -579,17 +592,16 @@ func (s *Store) convertToSidecar(name string, g *ugs.Graph, e *storeEntry) (*ugs
 // admitLoaded installs a freshly loaded entry under name (gen 1, or bumped
 // if the name already exists) and applies the budget.
 func (s *Store) admitLoaded(name string, e *storeEntry, g *ugs.Graph, bytes int64) error {
+	var retired string
+	defer func() { s.retire(retired) }() // runs after the unlock below
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		g.Close()
 		return errors.New("serve: store closed")
 	}
-	e.name, e.gen = name, 1
-	if prev, ok := s.entries[name]; ok {
-		e.gen = prev.gen + 1
-		s.removeEntryLocked(prev)
-	}
+	e.name = name
+	e.gen, retired = s.replaceLocked(name)
 	e.info.Name = name
 	e.lastUse = s.tickLocked()
 	e.res = &resident{g: g, bytes: bytes}
@@ -606,16 +618,14 @@ func (s *Store) admitLoaded(name string, e *storeEntry, g *ugs.Graph, bytes int6
 // file) succeeds.
 func (s *Store) admitQuarantined(name, path string, lerr error) {
 	fp, _ := statFP(path) // zero on stat error: any later stat differs → probe
+	var retired string
+	defer func() { s.retire(retired) }() // runs after the unlock below
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	gen := 1
-	if prev, ok := s.entries[name]; ok {
-		gen = prev.gen + 1
-		s.removeEntryLocked(prev)
-	}
+	gen, retired := s.replaceLocked(name)
 	e := &storeEntry{name: name, gen: gen, path: path, lastUse: s.tickLocked()}
 	e.info = GraphInfo{Name: name}
 	e.quar = &quarantineState{failures: 1, lastErr: lerr, until: s.now().Add(s.quarBackoff(1)), fp: fp}
@@ -639,6 +649,8 @@ func (s *Store) Acquire(name string) (g *ugs.Graph, id string, release func(), e
 // stat shows the bytes changed on disk — then the quarantine clears and
 // this caller probes immediately.
 func (s *Store) AcquireCtx(ctx context.Context, name string) (g *ugs.Graph, id string, release func(), err error) {
+	var retired string
+	defer func() { s.retire(retired) }() // every return below has unlocked s.mu
 	s.mu.Lock()
 	for {
 		if s.closed {
@@ -657,7 +669,7 @@ func (s *Store) AcquireCtx(ctx context.Context, name string) (g *ugs.Graph, id s
 		if r := e.res; r != nil {
 			r.refs++
 			e.lastUse = s.tickLocked()
-			id := fmt.Sprintf("%s@%d", e.name, e.gen)
+			id := graphID(e.name, e.gen)
 			s.mu.Unlock()
 			var once sync.Once
 			return r.g, id, func() { once.Do(func() { s.release(r) }) }, nil
@@ -743,7 +755,7 @@ func (s *Store) AcquireCtx(ctx context.Context, name string) (g *ugs.Graph, id s
 		if fp != oldFP {
 			// The backing bytes changed on disk: new generation so stale
 			// cached results cannot be served, refreshed summary.
-			e.gen++
+			retired = s.bumpLocked(e)
 			e.info = Info(e.name, g)
 		}
 		e.fp, e.verified = fp, filepath.Ext(path) == ".ugsb"
@@ -838,6 +850,50 @@ func (s *Store) dropResidentLocked(e *storeEntry) {
 	if r.refs == 0 {
 		r.g.Close()
 	}
+}
+
+// replaceLocked clears the way for a new entry under name: it removes the
+// current entry, if any, and returns the successor's generation and the
+// retired ID ("" for a new name). Report the ID with retire after s.mu is
+// released.
+func (s *Store) replaceLocked(name string) (gen int, retired string) {
+	prev, ok := s.entries[name]
+	if !ok {
+		return 1, ""
+	}
+	s.removeEntryLocked(prev)
+	return prev.gen + 1, graphID(name, prev.gen)
+}
+
+// bumpLocked moves an entry that keeps its slot (a patch, changed backing
+// bytes) to its next generation and returns the retired ID, to be reported
+// with retire after s.mu is released.
+func (s *Store) bumpLocked(e *storeEntry) string {
+	retired := graphID(e.name, e.gen)
+	e.gen++
+	return retired
+}
+
+// retire hands a retired ID to the retirement hook. Call it without s.mu:
+// the hook purges caches whose liveness checks take s.mu.
+func (s *Store) retire(id string) {
+	if id != "" && s.onRetire != nil {
+		s.onRetire(id)
+	}
+}
+
+// live reports whether a store ID ("name@gen") names the current generation
+// of its graph.
+func (s *Store) live(id string) bool {
+	i := strings.LastIndexByte(id, '@')
+	if i < 0 {
+		return false
+	}
+	gen, _ := strconv.Atoi(id[i+1:]) // 0 when malformed, and no generation is 0
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[id[:i]]
+	return ok && e.gen == gen
 }
 
 // removeEntryLocked drops an entry being replaced, deleting its store-owned

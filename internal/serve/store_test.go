@@ -145,6 +145,8 @@ func TestStoreGenerationBumpsOnFileChange(t *testing.T) {
 	}
 	s := NewStore(StoreConfig{BudgetBytes: 1}) // evict everything unpinned
 	t.Cleanup(func() { s.Close() })
+	var retired []string
+	s.onRetire = func(id string) { retired = append(retired, id) }
 	if _, err := s.LoadDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +168,9 @@ func TestStoreGenerationBumpsOnFileChange(t *testing.T) {
 	if id != "a@1" {
 		t.Fatalf("unchanged file bumped generation: %q", id)
 	}
+	if len(retired) != 0 {
+		t.Fatalf("eviction/remap retired %v", retired)
+	}
 
 	// Replace the file with different content: the next acquire must see a
 	// new generation, so cached results against a@1 cannot be served.
@@ -182,6 +187,61 @@ func TestStoreGenerationBumpsOnFileChange(t *testing.T) {
 	}
 	if g.NumVertices() != 80 {
 		t.Fatalf("stale mapping after file change: %v", g)
+	}
+	// The reload retired a@1: the hook saw it, and a@1 is no longer live.
+	if len(retired) != 1 || retired[0] != "a@1" || s.live("a@1") || !s.live("a@2") {
+		t.Fatalf("retired %v after file change, want [a@1]", retired)
+	}
+}
+
+// TestStoreRetiresReplacedGenerations: every other way a name's generation
+// changes — re-Add, Patch, a LoadDir re-load, a quarantine re-registration —
+// reports the retired ID to the hook, after the store lock is released (the
+// hook here takes it).
+func TestStoreRetiresReplacedGenerations(t *testing.T) {
+	s := NewStore(StoreConfig{})
+	t.Cleanup(func() { s.Close() })
+	var retired []string
+	s.onRetire = func(id string) {
+		if s.live(id) {
+			t.Errorf("retired %s is still live", id)
+		}
+		retired = append(retired, id)
+	}
+	if err := s.Add("g", ugs.FlickrLike(60, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add("g", ugs.FlickrLike(60, 2)); err != nil {
+		t.Fatal(err)
+	}
+	g, _, release, err := s.Acquire("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := g.Edge(0)
+	release()
+	if _, _, err := s.Patch(context.Background(), "g", []ugs.EdgeEdit{{Op: ugs.EditReweight, U: e.U, V: e.V, P: 0.5}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := ugs.WriteBinaryGraphFile(filepath.Join(dir, "g.ugsb"), ugs.FlickrLike(60, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "g.ugsb"), []byte("corrupt"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"g@1", "g@2", "g@3", "g@4"}
+	if fmt.Sprint(retired) != fmt.Sprint(want) {
+		t.Fatalf("retired %v, want %v", retired, want)
+	}
+	if !s.live("g@5") {
+		t.Fatal("the quarantined registration is not g@5")
 	}
 }
 

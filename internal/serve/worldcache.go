@@ -18,15 +18,19 @@ import (
 // sample; the cache changes cost, never results.
 //
 // Keys embed the versioned graph ID, so a re-uploaded graph never sees a
-// predecessor's worlds; blocks of evicted graphs simply age out of the LRU.
+// predecessor's worlds. The server purges a retired graph's blocks when its
+// generation changes; blocks of a graph that is merely evicted from the
+// store stay, since its generation survives the reload. live, when set,
+// makes a fill that finishes after its graph's purge drop its block again.
 type WorldCache struct {
 	mu      sync.Mutex
 	budget  int64
 	bytes   int64
 	lru     *list.List // front = most recently used; values are *worldEntry
 	entries map[ugs.FillKey]*list.Element
+	live    func(graph string) bool
 
-	hits, misses, evictions int64
+	hits, misses, evictions, purged int64
 }
 
 type worldEntry struct {
@@ -66,24 +70,53 @@ func (c *WorldCache) GetOrFill(key ugs.FillKey, fill func() []uint64) []uint64 {
 	}
 
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		// A concurrent miss filled the same key first; keep the stored
 		// copy and let ours be garbage.
 		c.lru.MoveToFront(el)
+		c.mu.Unlock()
 		return el.Value.(*worldEntry).block
 	}
 	c.entries[key] = c.lru.PushFront(&worldEntry{key: key, block: block})
 	c.bytes += size
 	for c.bytes > c.budget {
-		back := c.lru.Back()
-		e := back.Value.(*worldEntry)
-		c.lru.Remove(back)
-		delete(c.entries, e.key)
-		c.bytes -= int64(len(e.block)) * 8
+		c.removeLocked(c.lru.Back())
 		c.evictions++
 	}
+	c.mu.Unlock()
+	if c.live != nil && !c.live(key.Graph) {
+		// The graph was retired while this block was being sampled, and
+		// its purge may already have run: drop the block again.
+		c.mu.Lock()
+		if el, ok := c.entries[key]; ok {
+			c.removeLocked(el)
+			c.purged++
+		}
+		c.mu.Unlock()
+	}
 	return block
+}
+
+func (c *WorldCache) removeLocked(el *list.Element) {
+	e := el.Value.(*worldEntry)
+	c.lru.Remove(el)
+	delete(c.entries, e.key)
+	c.bytes -= int64(len(e.block)) * 8
+}
+
+// purge removes every block whose graph match selects. It scans the whole
+// LRU under the lock; match must not block.
+func (c *WorldCache) purge(match func(graph string) bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; {
+		next := el.Next()
+		if match(el.Value.(*worldEntry).key.Graph) {
+			c.removeLocked(el)
+			c.purged++
+		}
+		el = next
+	}
 }
 
 // WorldCacheStats is a point-in-time snapshot of the cache counters.
@@ -94,6 +127,9 @@ type WorldCacheStats struct {
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`
 	Evictions   int64 `json:"evictions"`
+	// Purged counts blocks removed because their graph was retired;
+	// Evictions counts budget pressure only.
+	Purged int64 `json:"purged"`
 }
 
 // Stats snapshots the cache counters.
@@ -107,5 +143,6 @@ func (c *WorldCache) Stats() WorldCacheStats {
 		Hits:        c.hits,
 		Misses:      c.misses,
 		Evictions:   c.evictions,
+		Purged:      c.purged,
 	}
 }
