@@ -1047,6 +1047,9 @@ func (s *Server) handlePutGraph(w http.ResponseWriter, r *http.Request) {
 
 // StatsResponse aggregates the service counters.
 type StatsResponse struct {
+	// FillKernel names the world-fill implementation (ugs.FillKernel):
+	// "avx512" or "portable", the reason fills run slower on some CPUs.
+	FillKernel    string           `json:"fill_kernel"`
 	Graphs        int              `json:"graphs"`
 	Computes      int64            `json:"sparsifier_computes"`
 	Store         StoreStats       `json:"store"`
@@ -1114,6 +1117,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		worlds = s.worlds.Stats()
 	}
 	writeJSON(w, http.StatusOK, StatsResponse{
+		FillKernel:    ugs.FillKernel(),
 		Graphs:        s.store.Len(),
 		Computes:      s.computes.Load(),
 		Store:         s.store.Stats(),

@@ -334,6 +334,24 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsReportsFillKernel pins the top-level "fill_kernel" stats field
+// to the fill implementation the process runs.
+func TestStatsReportsFillKernel(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	var raw map[string]any
+	if w := do(t, s, "GET", "/v1/stats", nil, &raw); w.Code != 200 {
+		t.Fatalf("stats: %d", w.Code)
+	}
+	want := ugs.FillKernel()
+	if got := raw["fill_kernel"]; got != want {
+		t.Fatalf("fill_kernel = %v, want %q", got, want)
+	}
+	if want != "avx512" && want != "portable" {
+		t.Fatalf("ugs.FillKernel() = %q, want avx512 or portable", want)
+	}
+	t.Logf("fill_kernel: %s", want)
+}
+
 // TestConcurrentLoadSmoke is the -race smoke: goroutines mixing cache hits,
 // misses, coalesced queries and stats reads against a live httptest server.
 // Every identical request must observe identical values (the engine is

@@ -1,5 +1,7 @@
 package ugraph
 
+import "unsafe"
+
 // BatchLanes is the number of world lanes one machine word holds — the
 // granularity of fill blocks and the width of the original 64-lane engine.
 const BatchLanes = 64
@@ -17,10 +19,14 @@ const MaxBatchLanes = 256
 // engine, WorldBatch[Vec256] carries 256 worlds per traversal.
 //
 // Lane l of a batch filled by SampleBatchSeeded is bit-identical to the
-// World produced by SampleWorldSeeded with the same seed, at every width,
-// so batch and scalar Monte-Carlo paths agree exactly. A WorldBatch is only
-// meaningful together with the Graph it was sampled from and is not safe
-// for concurrent use.
+// World produced by SampleWorldSeeded with the same seed, at every width
+// and on either fill implementation (see FillKernel): the AVX-512 kernel
+// draws all 64 lanes of one edge at a time and stores the edge's mask
+// directly, the portable loop draws 64 edges of one lane at a time and
+// transposes, and each lane consumes its stream in the same edge order
+// either way. So batch and scalar Monte-Carlo paths agree exactly. A
+// WorldBatch is only meaningful together with the Graph it was sampled
+// from and is not safe for concurrent use.
 type WorldBatch[V Vec] struct {
 	g     *Graph
 	masks []V    // per-edge lane masks, len == NumEdges
@@ -94,11 +100,10 @@ func (b *WorldBatch[V]) ExtractLane(l int, w *World) {
 // deterministic SplitMix64 stream in ascending edge order. len(seeds) sets
 // the active lane count and must be 1..VecLanes[V]. Zero allocations.
 //
-// The fill works tile-by-tile: for each group of 64 edges and each lane
-// word, every lane of that word draws its 64-bit presence word (advancing
-// all lane streams in lockstep through the edge list), and the resulting
-// 64×64 bit matrix is transposed in place so the batch stores per-edge lane
-// masks. Inactive lanes stay zero.
+// Each word of the vector is one 64-lane fill at a stride of len(V) words
+// (see fillLanes): the AVX-512 kernel where the CPU has it, otherwise the
+// portable tile-and-transpose loop, with the same bits either way. Words
+// with no active lane, and bits at or above the lane count, are zero.
 func SampleBatchSeeded[V Vec](g *Graph, seeds []int64, b *WorldBatch[V]) {
 	lanes := len(seeds)
 	if lanes == 0 || lanes > VecLanes[V]() {
@@ -106,51 +111,21 @@ func SampleBatchSeeded[V Vec](g *Graph, seeds []int64, b *WorldBatch[V]) {
 	}
 	b.lanes = lanes
 	b.seq++
+	if len(b.masks) == 0 {
+		return
+	}
 	var vz V
 	words := len(vz)
-	var ss [MaxBatchLanes]Sampler
-	for l, seed := range seeds {
-		ss[l] = NewSampler(seed)
-	}
-	edges := g.edges
-	m := len(edges)
-	var tile [BatchLanes]uint64
-	for base := 0; base < m; base += 64 {
-		limit := m - base
-		if limit > 64 {
-			limit = 64
+	flat := unsafe.Slice(&b.masks[0][0], len(b.masks)*words)
+	for k := 0; k < words; k++ {
+		lo := k * BatchLanes
+		if lo >= lanes {
+			for e := range b.masks {
+				b.masks[e][k] = 0
+			}
+			continue
 		}
-		for k := 0; k < words; k++ {
-			lo := k * BatchLanes
-			if lo >= lanes {
-				for bit := 0; bit < limit; bit++ {
-					b.masks[base+bit][k] = 0
-				}
-				continue
-			}
-			hi := lanes - lo
-			if hi > BatchLanes {
-				hi = BatchLanes
-			}
-			for l := 0; l < hi; l++ {
-				s := ss[lo+l]
-				var word uint64
-				for bit := 0; bit < limit; bit++ {
-					if s.Float64() < edges[base+bit].P {
-						word |= 1 << uint(bit)
-					}
-				}
-				ss[lo+l] = s
-				tile[l] = word
-			}
-			for l := hi; l < BatchLanes; l++ {
-				tile[l] = 0
-			}
-			transpose64(&tile)
-			for bit := 0; bit < limit; bit++ {
-				b.masks[base+bit][k] = tile[bit]
-			}
-		}
+		fillLanes(g.edges, seeds[lo:min(lanes, lo+BatchLanes)], flat[k:], words)
 	}
 }
 
@@ -164,7 +139,8 @@ func (g *Graph) SampleBatchSeeded(seeds []int64, b *WorldBatch[Vec64]) {
 // is the presence of edge e in the world SampleWorldSeeded(seeds[l]) draws.
 // len(seeds) must be 1..64 and len(dst) == NumEdges; bits at or above
 // len(seeds) are cleared. It is the width-agnostic unit of the fill cache —
-// a V-wide batch is exactly len(V) consecutive blocks (see LoadBlocks).
+// a V-wide batch is exactly len(V) consecutive blocks (see LoadBlocks) —
+// and runs the same fill as SampleBatchSeeded, at stride 1.
 func FillBlock(g *Graph, seeds []int64, dst []uint64) {
 	lanes := len(seeds)
 	if lanes == 0 || lanes > BatchLanes {
@@ -173,11 +149,44 @@ func FillBlock(g *Graph, seeds []int64, dst []uint64) {
 	if len(dst) != g.NumEdges() {
 		panic("ugraph: fill block length mismatch")
 	}
+	fillLanes(g.edges, seeds, dst, 1)
+}
+
+// fillLanes draws 1..64 lanes over edges: lane l runs the SplitMix64 stream
+// of seeds[l], and bit l of dst[e*stride] is whether edge e is present in
+// that lane's world. Bits at or above len(seeds) are zero. Both
+// implementations consume every stream in ascending edge order and compare
+// each draw with the edge's P exactly as Sampler.Float64() < P does, so they
+// store the same bits; the choice between them is made once, from CPUID.
+func fillLanes(edges []Edge, seeds []int64, dst []uint64, stride int) {
+	if hasFillKernel {
+		fillLanesKernel(edges, seeds, dst, stride)
+		return
+	}
+	fillLanesPortable(edges, seeds, dst, stride)
+}
+
+// FillKernel names the implementation behind FillBlock and
+// SampleBatchSeeded in this process: "avx512" where the CPU has AVX-512F
+// and AVX-512DQ and the OS saves the ZMM state, otherwise "portable". Both
+// store the same bits; only the cost differs.
+func FillKernel() string {
+	if hasFillKernel {
+		return "avx512"
+	}
+	return "portable"
+}
+
+// fillLanesPortable is fillLanes in Go, and the reference the kernel is
+// tested against: for each group of 64 edges every lane draws its 64-bit
+// presence word, then the 64×64 bit tile is transposed so that each edge
+// gets its lane mask.
+func fillLanesPortable(edges []Edge, seeds []int64, dst []uint64, stride int) {
+	lanes := len(seeds)
 	var ss [BatchLanes]Sampler
 	for l, seed := range seeds {
 		ss[l] = NewSampler(seed)
 	}
-	edges := g.edges
 	m := len(edges)
 	var tile [BatchLanes]uint64
 	for base := 0; base < m; base += 64 {
@@ -200,7 +209,9 @@ func FillBlock(g *Graph, seeds []int64, dst []uint64) {
 			tile[l] = 0
 		}
 		transpose64(&tile)
-		copy(dst[base:base+limit], tile[:limit])
+		for bit := 0; bit < limit; bit++ {
+			dst[(base+bit)*stride] = tile[bit]
+		}
 	}
 }
 

@@ -106,6 +106,12 @@ func SampleWorldBatch[V Vec](g *Graph, seeds []int64, b *WorldBatch[V]) {
 	ugraph.SampleBatchSeeded(g, seeds, b)
 }
 
+// FillKernel names the world-fill implementation this process runs:
+// "avx512" on CPUs with AVX-512F and AVX-512DQ whose OS saves the ZMM
+// state, "portable" elsewhere. The choice is made once, from CPUID; both
+// draw bit-identical worlds, so it changes only how long a fill takes.
+func FillKernel() string { return ugraph.FillKernel() }
+
 var (
 	// WithConfidence builds the MCOptions.Target for sequential stopping:
 	// sample until every tracked estimate's CI half-width is ≤ eps at
