@@ -7,12 +7,40 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
 	"ugs"
 	"ugs/internal/exp"
 )
+
+// parseConfidence parses a -confidence flag value "eps" or "eps,delta"
+// into a sequential-stopping target (eps half-width at confidence
+// 1−delta; delta defaults to 0.05). Empty means no target.
+func parseConfidence(s string) (eps, delta float64, ok bool, err error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return 0, 0, false, nil
+	}
+	parts := strings.Split(s, ",")
+	if len(parts) > 2 {
+		return 0, 0, false, fmt.Errorf("want \"eps\" or \"eps,delta\", got %q", s)
+	}
+	if eps, err = strconv.ParseFloat(strings.TrimSpace(parts[0]), 64); err != nil {
+		return 0, 0, false, fmt.Errorf("eps: %v", err)
+	}
+	if len(parts) == 2 {
+		if delta, err = strconv.ParseFloat(strings.TrimSpace(parts[1]), 64); err != nil {
+			return 0, 0, false, fmt.Errorf("delta: %v", err)
+		}
+	}
+	if !(eps > 0 && eps < 1) || delta < 0 || delta >= 1 {
+		return 0, 0, false, fmt.Errorf("eps %v outside (0,1) or delta %v outside [0,1)", eps, delta)
+	}
+	return eps, delta, true, nil
+}
 
 // RunExp is the ugs-exp command: regenerate the paper's tables and figures
 // on the synthetic stand-in datasets.

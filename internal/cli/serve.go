@@ -11,8 +11,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -20,32 +18,6 @@ import (
 	"ugs/internal/faults"
 	"ugs/internal/serve"
 )
-
-// parseConfidence parses a -confidence flag value "eps" or "eps,delta"
-// into a sequential-stopping target (eps half-width at confidence
-// 1−delta; delta defaults to 0.05). Empty means no target.
-func parseConfidence(s string) (eps, delta float64, ok bool, err error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, 0, false, nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) > 2 {
-		return 0, 0, false, fmt.Errorf("want \"eps\" or \"eps,delta\", got %q", s)
-	}
-	if eps, err = strconv.ParseFloat(strings.TrimSpace(parts[0]), 64); err != nil {
-		return 0, 0, false, fmt.Errorf("eps: %v", err)
-	}
-	if len(parts) == 2 {
-		if delta, err = strconv.ParseFloat(strings.TrimSpace(parts[1]), 64); err != nil {
-			return 0, 0, false, fmt.Errorf("delta: %v", err)
-		}
-	}
-	if !(eps > 0 && eps < 1) || delta < 0 || delta >= 1 {
-		return 0, 0, false, fmt.Errorf("eps %v outside (0,1) or delta %v outside [0,1)", eps, delta)
-	}
-	return eps, delta, true, nil
-}
 
 // RunServe is the ugs-serve command: a long-lived HTTP JSON service over
 // the sparsifier core. It installs SIGINT/SIGTERM handling and shuts down
@@ -76,7 +48,6 @@ func RunServeContext(ctx context.Context, args []string, stdout, stderr io.Write
 		lanes       = fs.String("lanes", "auto", "default query engine width: auto (fixed rule over query kind and sample budget), 1 (scalar ablation), 64 or 256 world lanes")
 		fanOut      = fs.String("fan-out", "auto", "default pair-query source group size: auto (fixed rule over lane width and distinct sources), 1 (per-source ablation) or 2..64 sources per traversal")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this side listener (e.g. localhost:6060; empty = disabled)")
-		confidence  = fs.String("confidence", "", "default adaptive stopping target \"eps[,delta]\": sample until every estimate's CI half-width ≤ eps at confidence 1−delta (empty = fixed budgets)")
 		worldCache  = fs.String("world-cache", "64M", "sampled-world cache budget with K/M/G suffixes (0 disables)")
 		reqTimeout  = fs.Duration("request-timeout", 0, "per-request wall-clock cap for queries and sparsifications (0 = unbounded; a request's timeout_ms can only tighten it)")
 		maxCost     = fs.String("max-cost", "", "admission-control capacity in cost units (samples × graph arcs) with K/M/G suffixes, e.g. 2G (empty = no admission control)")
@@ -102,17 +73,6 @@ func RunServeContext(ctx context.Context, args []string, stdout, stderr io.Write
 	if err != nil {
 		fmt.Fprintln(stderr, "ugs-serve: -fan-out:", err)
 		return 2
-	}
-	var defConfidence *serve.Confidence
-	if eps, delta, ok, err := parseConfidence(*confidence); err != nil {
-		fmt.Fprintln(stderr, "ugs-serve: -confidence:", err)
-		return 2
-	} else if ok {
-		if laneWidth == 1 {
-			fmt.Fprintln(stderr, "ugs-serve: -confidence requires the batch engine; drop -lanes 1")
-			return 2
-		}
-		defConfidence = &serve.Confidence{Eps: eps, Delta: delta}
 	}
 	worldBudget, err := parseBytes(*worldCache)
 	if err != nil {
@@ -153,7 +113,6 @@ func RunServeContext(ctx context.Context, args []string, stdout, stderr io.Write
 		ConvertDir:        *convertDir,
 		Lanes:             laneWidth,
 		FanOut:            fanWidth,
-		Confidence:        defConfidence,
 		WorldCacheBytes:   worldBudget,
 		RequestTimeout:    *reqTimeout,
 		MaxCost:           costCap,

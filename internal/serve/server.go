@@ -9,6 +9,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -27,7 +28,10 @@ import (
 	"ugs/internal/faults"
 )
 
-// Config tunes a Server.
+// Config tunes a Server; the zero value serves with the defaults below.
+// Queries run a fixed sample budget unless a request carries its own
+// "confidence" target, and adaptive queries degrade once the limiter is 75%
+// saturated (degradePressure).
 type Config struct {
 	// GraphDir, when non-empty, is loaded into the store at startup
 	// (every *.ugs / *.txt file).
@@ -59,10 +63,6 @@ type Config struct {
 	// traversal per source (the per-source ablation), 2..64 = explicit
 	// multi-source group sizes.
 	FanOut int
-	// Confidence, when non-nil, makes queries adaptive by default:
-	// requests without an explicit "confidence" field run sequential
-	// stopping to this target instead of a fixed sample budget.
-	Confidence *Confidence
 	// WorldCacheBytes bounds the cross-request sampled-world cache
 	// (default 64 MiB; negative disables it).
 	WorldCacheBytes int64
@@ -77,10 +77,6 @@ type Config struct {
 	// limiter sheds with 429 (default 64 when MaxCost is set; negative =
 	// unbounded queue).
 	MaxQueue int
-	// DegradePressure is the limiter saturation (inUse+queued over
-	// capacity) beyond which adaptive queries shrink their sample budget
-	// and answer degraded instead of queueing at full cost (default 0.75).
-	DegradePressure float64
 	// QuarantineBase and QuarantineMax tune the store's load-failure
 	// backoff (defaults 1s / 60s).
 	QuarantineBase time.Duration
@@ -105,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxCost > 0 && c.MaxQueue == 0 {
 		c.MaxQueue = 64
-	}
-	if c.DegradePressure == 0 {
-		c.DegradePressure = 0.75
 	}
 	return c
 }
@@ -380,28 +373,21 @@ func requestKey(graphID string, alpha float64, spec ugs.Spec) (key, id string) {
 	return key, "sp-" + hex.EncodeToString(sum[:16])
 }
 
-// validateSparsify resolves and validates a sparsify request, pinning the
-// input graph. On success the caller owns the release.
-func (s *Server) validateSparsify(ctx context.Context, req *SparsifyRequest) (*ugs.Graph, string, func(), error) {
+// validateSparsify makes every check a sparsify request needs no graph for,
+// so a malformed request never pins, loads or evicts one: a named graph,
+// alpha in (0,1), and a method and options the registry accepts.
+func validateSparsify(req *SparsifyRequest) error {
 	if req.Graph == "" {
-		return nil, "", nil, fmt.Errorf("missing \"graph\"")
-	}
-	g, gid, release, err := s.acquireGraph(ctx, req.Graph)
-	if err != nil {
-		return nil, "", nil, err
+		return errors.New("missing \"graph\"")
 	}
 	if !(req.Alpha > 0 && req.Alpha < 1) {
-		release()
-		return nil, "", nil, fmt.Errorf("alpha %v outside (0,1)", req.Alpha)
+		return fmt.Errorf("alpha %v outside (0,1)", req.Alpha)
 	}
 	// Building the sparsifier validates both the option values and the
 	// method name against the registry; construction is cheap (the run
 	// happens later).
-	if _, err := req.Spec.Sparsifier(); err != nil {
-		release()
-		return nil, "", nil, err
-	}
-	return g, gid, release, nil
+	_, err := req.Spec.Sparsifier()
+	return err
 }
 
 // sparsify runs (or reuses) the sparsification described by req. compute
@@ -409,57 +395,7 @@ func (s *Server) validateSparsify(ctx context.Context, req *SparsifyRequest) (*u
 // job context for async ones — and progress, when non-nil, observes the run.
 func (s *Server) sparsify(runCtx context.Context, req *SparsifyRequest, g *ugs.Graph, gid string, progress func(ugs.RunStats)) (*SparsifyResponse, error) {
 	key, id := requestKey(gid, req.Alpha, req.Spec)
-	entry, cached, err := s.sparsifyDo(runCtx, id, key, req, g, gid, progress)
-	if err != nil {
-		return nil, err
-	}
-	resp := entry.resp
-	resp.Cached = cached
-	return &resp, nil
-}
-
-// sparsifyDo wraps the cache admission with one subtlety: a compute can be
-// owned by an async job whose context dies when the job is cancelled, or by
-// a request whose deadline expired mid-run. A caller that merely shared that
-// flight was not itself cancelled, so on a cancellation error from a foreign
-// owner it retries — the failed flight is deregistered, and the retry
-// recomputes under this caller's own context. The loop terminates because
-// each iteration either succeeds, fails for a non-cancellation reason, or
-// observes this caller's own context cancelled.
-func (s *Server) sparsifyDo(runCtx context.Context, id, key string, req *SparsifyRequest, g *ugs.Graph, gid string, progress func(ugs.RunStats)) (*sparseEntry, bool, error) {
-	for {
-		entry, cached, err := s.sparsifyOnce(runCtx, id, key, req, g, gid, progress)
-		if foreignCancel(err) && runCtx.Err() == nil {
-			s.resilience.retries.Add(1)
-			continue
-		}
-		return entry, cached, err
-	}
-}
-
-// foreignCancel reports whether err is a context cancellation — which, when
-// the caller's own context is still alive, must have come from another
-// flight owner's deadline or disconnect.
-func foreignCancel(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// queryDo mirrors sparsifyDo for the query cache: a coalesced waiter whose
-// own context is still alive retries a flight killed by its owner's deadline
-// or disconnect, becoming the new owner under its own context.
-func (s *Server) queryDo(ctx context.Context, key string, compute func() (*queryEntry, error)) (*queryEntry, bool, error) {
-	for {
-		entry, cached, err := s.queries.Do(ctx, key, compute)
-		if foreignCancel(err) && ctx.Err() == nil {
-			s.resilience.retries.Add(1)
-			continue
-		}
-		return entry, cached, err
-	}
-}
-
-func (s *Server) sparsifyOnce(runCtx context.Context, id, key string, req *SparsifyRequest, g *ugs.Graph, gid string, progress func(ugs.RunStats)) (*sparseEntry, bool, error) {
-	return s.sparse.Do(runCtx, id, func() (*sparseEntry, error) {
+	entry, cached, err := doRetrying(runCtx, s.sparse, id, &s.resilience.retries, func() (*sparseEntry, error) {
 		var extra []ugs.Option
 		if progress != nil {
 			extra = append(extra, ugs.WithProgress(progress))
@@ -474,7 +410,6 @@ func (s *Server) sparsifyOnce(runCtx context.Context, id, key string, req *Spars
 		if err != nil {
 			return nil, err
 		}
-		info := Info(id, res.Graph)
 		return &sparseEntry{
 			graph: res.Graph,
 			resp: SparsifyResponse{
@@ -482,13 +417,38 @@ func (s *Server) sparsifyOnce(runCtx context.Context, id, key string, req *Spars
 				Key:             key,
 				Original:        gid,
 				Alpha:           req.Alpha,
-				Graph:           info,
+				Graph:           Info(id, res.Graph),
 				RelativeEntropy: ugs.RelativeEntropy(res.Graph, g),
 				Stats:           res.Stats,
 				ElapsedMS:       float64(time.Since(start)) / float64(time.Millisecond),
 			},
 		}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	resp := entry.resp
+	resp.Cached = cached
+	return &resp, nil
+}
+
+// doRetrying is c.Do with one subtlety: a compute can be owned by an async
+// job whose context dies when the job is cancelled, or by a request whose
+// deadline expired mid-run. A caller that merely shared that flight was not
+// itself cancelled, so on a cancellation error from a foreign owner it
+// retries — the failed flight is deregistered, and the retry recomputes
+// under this caller's own context. The loop terminates because each
+// iteration either succeeds, fails for a non-cancellation reason, or
+// observes this caller's own context cancelled.
+func doRetrying[V any](ctx context.Context, c *Cache[V], key string, retries *atomic.Int64, compute func() (V, error)) (V, bool, error) {
+	for {
+		val, cached, err := c.Do(ctx, key, compute)
+		if (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
+			retries.Add(1)
+			continue
+		}
+		return val, cached, err
+	}
 }
 
 func (s *Server) handleSparsify(w http.ResponseWriter, r *http.Request) {
@@ -500,11 +460,15 @@ func (s *Server) handleSparsify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error(), 0)
 		return
 	}
+	if err := validateSparsify(&req); err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
-	g, gid, release, err := s.validateSparsify(ctx, &req)
+	g, gid, release, err := s.acquireGraph(ctx, req.Graph)
 	if err != nil {
-		s.writeRequestErr(w, err)
+		s.writeAcquireErr(w, err)
 		return
 	}
 	defer release()
@@ -578,15 +542,18 @@ type Confidence struct {
 }
 
 // QueryRequest evaluates a Monte-Carlo query on a resident graph (a store
-// name or a sparsified-result ID).
+// name or a sparsified-result ID). Every field but Graph is checked before
+// the graph is looked up, and the pair endpoints right after, so a malformed
+// request answers 400 bad_request without loading a graph or waiting for
+// admission, whatever Graph names.
 type QueryRequest struct {
 	Graph string `json:"graph"`
 	// Kind is "reliability", "distance", "connected", "pagerank" or
 	// "clustering".
 	Kind  string   `json:"kind"`
 	Pairs [][2]int `json:"pairs,omitempty"`
-	// Samples is the fixed Monte-Carlo sample count (default 500).
-	// Mutually exclusive with Confidence.
+	// Samples is the fixed Monte-Carlo sample count (default 500, at most
+	// the server's MaxSamples). Mutually exclusive with Confidence.
 	Samples int   `json:"samples,omitempty"`
 	Seed    int64 `json:"seed,omitempty"`
 	// Lanes selects the engine width: "auto" (the planner), "1" (the
@@ -601,8 +568,10 @@ type QueryRequest struct {
 	// bit-identical across every fan-out.
 	FanOut string `json:"fan_out,omitempty"`
 	// Confidence switches reliability/distance/connected queries from the
-	// fixed Samples budget to sequential stopping. Not supported for the
-	// per-vertex kinds (pagerank, clustering), which run scalar worlds.
+	// fixed Samples budget to sequential stopping; a request asks for it
+	// here or not at all (the server has no default target). Not supported
+	// for the per-vertex kinds (pagerank, clustering), which run scalar
+	// worlds, nor with Lanes "1".
 	Confidence *Confidence `json:"confidence,omitempty"`
 	// TimeoutMS bounds this request in wall-clock milliseconds. The server's
 	// -request-timeout can only be tightened by it, never extended. Adaptive
@@ -633,6 +602,16 @@ type QueryResponse struct {
 	Cached      bool    `json:"cached"`
 }
 
+// handleQuery serves POST /v1/query in five steps, so a request that can
+// never succeed costs neither a graph load nor an admission slot:
+//
+//  1. plan: planQuery makes every check that needs no graph (400);
+//  2. acquire: the graph is pinned (404 unknown, 503 quarantined) and the
+//     pair endpoints are checked against it (400);
+//  3. admit: the limiter charges the run's cost (429 when shed);
+//  4. execute: one cache key and one runQuery, coalesced across callers;
+//     a hit on a degraded entry also starts its revalidation;
+//  5. respond: queryResponse, the same shape for every kind.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if !decodeJSON(w, r, &req) {
@@ -644,225 +623,284 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
+	deadline, _ := ctx.Deadline()
+	p, err := planQuery(&req, s.cfg, time.Now(), deadline, s.limiter.Pressure)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
+		return
+	}
+
 	g, gid, release, err := s.acquireGraph(ctx, req.Graph)
 	if err != nil {
 		s.writeAcquireErr(w, err)
 		return
 	}
 	defer release()
-
-	lanes := s.cfg.Lanes
-	if req.Lanes != "" {
-		if lanes, err = ugs.ParseLanes(req.Lanes); err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
+	for i, pr := range p.pairs {
+		if n := g.NumVertices(); pr.S < 0 || pr.S >= n || pr.T < 0 || pr.T >= n {
+			writeErr(w, http.StatusBadRequest, fmt.Sprintf("pair %d endpoints (%d,%d) outside [0,%d)", i, pr.S, pr.T, n))
 			return
 		}
-	}
-	fanOut := s.cfg.FanOut
-	if req.FanOut != "" {
-		if fanOut, err = ugs.ParseFanOut(req.FanOut); err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	conf := req.Confidence
-	if conf == nil {
-		conf = s.cfg.Confidence
-	}
-	opts := ugs.MCOptions{Seed: req.Seed, Workers: s.cfg.Workers, Lanes: lanes, FanOut: fanOut}
-	if conf != nil {
-		if req.Samples != 0 {
-			writeErr(w, http.StatusBadRequest, "samples and confidence are mutually exclusive (confidence decides the budget)")
-			return
-		}
-		target := ugs.WithConfidence(conf.Eps, conf.Delta)
-		// The server's sample cap bounds the adaptive budget too; keep
-		// the schedule legal when the cap is below the default MinSamples.
-		target.MaxSamples = s.cfg.MaxSamples
-		if target.MinSamples == 0 && s.cfg.MaxSamples < 128 {
-			target.MinSamples = s.cfg.MaxSamples
-		}
-		opts.Target = target
-	} else {
-		if req.Samples == 0 {
-			req.Samples = 500
-		}
-		if req.Samples < 1 || req.Samples > s.cfg.MaxSamples {
-			writeErr(w, http.StatusBadRequest, fmt.Sprintf("samples %d outside [1, %d]", req.Samples, s.cfg.MaxSamples))
-			return
-		}
-		opts.Samples = req.Samples
-	}
-	if s.worlds != nil {
-		opts.FillCache = s.worlds
-		opts.FillID = gid
-	}
-	if err := opts.Validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
 	}
 
-	// keyOpts is the request's cache identity (the full adaptive budget, no
-	// deadline); runOpts is what this execution actually does — possibly a
-	// deadline-bounded, pressure-shrunk budget. Keeping them apart means a
-	// degraded answer lands under the key later full-budget requests hit, so
-	// stale-while-revalidate can swap in the fresh result.
-	keyOpts, runOpts := opts, opts
-	if opts.Target != nil {
-		t := *opts.Target
-		if dl, ok := ctx.Deadline(); ok {
-			// Back the engine deadline off the request's so encoding and
-			// writing the degraded answer still fit inside it.
-			t.Deadline = dl.Add(-min(200*time.Millisecond, time.Until(dl)/10))
-		}
-		if s.limiter != nil && s.limiter.Pressure() >= s.cfg.DegradePressure {
-			shrunk := t.MaxSamples / 4
-			if shrunk < degradedMinSamples {
-				shrunk = degradedMinSamples
-			}
-			if t.MinSamples > 0 && shrunk < t.MinSamples {
-				shrunk = t.MinSamples
-			}
-			if shrunk < t.MaxSamples {
-				t.MaxSamples = shrunk
-			}
-		}
-		runOpts.Target = &t
-	}
-	lrelease, err := s.limiter.Acquire(ctx, queryCost(g, runOpts))
+	lrelease, err := s.limiter.Acquire(ctx, queryCost(g, p.run))
 	if err != nil {
 		s.writeAdmitErr(w, err)
 		return
 	}
 	defer lrelease()
 
-	switch req.Kind {
-	case "reliability", "distance":
-		s.handlePairQuery(ctx, w, &req, g, gid, runOpts, keyOpts)
-	case "connected":
-		s.handleConnectedQuery(ctx, w, &req, g, gid, runOpts, keyOpts)
-	case "pagerank", "clustering":
-		s.handleVectorQuery(ctx, w, &req, g, gid, runOpts)
-	default:
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("unknown kind %q (want reliability, distance, connected, pagerank or clustering)", req.Kind))
+	key := queryKey(&p, gid)
+	entry, cached, err := doRetrying(ctx, s.queries, key, &s.resilience.retries, func() (*queryEntry, error) {
+		return s.runQuery(ctx, &p, g, gid, p.run)
+	})
+	if err != nil {
+		s.writeComputeErr(w, err)
+		return
 	}
+	if cached && p.key.Target != nil && !entry.info.Converged {
+		s.revalidate(&p, req.Graph, gid, key, entry)
+	}
+
+	writeJSON(w, http.StatusOK, s.queryResponse(&p, entry, cached))
 }
+
+// degradePressure is the limiter saturation (inUse+queued over capacity) at
+// which adaptive queries shrink their sample budget and answer degraded
+// instead of queueing at full cost.
+const degradePressure = 0.75
 
 // degradedMinSamples floors the pressure-shrunk adaptive budget: below this
 // the normal-approximation CI is meaningless and the answer is noise, so the
 // server never degrades past it.
 const degradedMinSamples = 128
 
-func (s *Server) handlePairQuery(ctx context.Context, w http.ResponseWriter, req *QueryRequest, g *ugs.Graph, gid string, runOpts, keyOpts ugs.MCOptions) {
-	if len(req.Pairs) == 0 {
-		writeErr(w, http.StatusBadRequest, "pairs required for reliability/distance queries")
-		return
-	}
-	pairs := make([]ugs.Pair, len(req.Pairs))
-	for i, p := range req.Pairs {
-		if p[0] < 0 || p[0] >= g.NumVertices() || p[1] < 0 || p[1] >= g.NumVertices() {
-			writeErr(w, http.StatusBadRequest, fmt.Sprintf("pair %d endpoints (%d,%d) outside [0,%d)", i, p[0], p[1], g.NumVertices()))
-			return
+// queryPlan is a query request resolved against the server configuration
+// before any graph is touched. run is what this execution does: for an
+// adaptive query, an engine deadline backed off the request's and, under
+// limiter pressure, a shrunk budget. key is the request's cache identity:
+// the full budget and no deadline. Keeping them apart means a degraded
+// answer lands under the key later full-budget requests hit, so
+// stale-while-revalidate can swap in the fresh result.
+type queryPlan struct {
+	kind     string
+	pairs    []ugs.Pair // reliability and distance; endpoints unchecked
+	run, key ugs.MCOptions
+}
+
+// planQuery makes every check a query needs no graph for and resolves its
+// engine options. It is a pure function of the request, the configuration,
+// the clock, the request deadline (zero for none) and, for adaptive
+// requests only, the limiter pressure: a fixed-budget plan never calls
+// pressure, which takes the limiter lock.
+func planQuery(req *QueryRequest, cfg Config, now, deadline time.Time, pressure func() float64) (queryPlan, error) {
+	p := queryPlan{kind: req.Kind}
+	switch req.Kind {
+	case "reliability", "distance":
+		if len(req.Pairs) == 0 {
+			return p, errors.New("pairs required for reliability/distance queries")
 		}
-		pairs[i] = ugs.Pair{S: p[0], T: p[1]}
+		p.pairs = make([]ugs.Pair, len(req.Pairs))
+		for i, pr := range req.Pairs {
+			p.pairs[i] = ugs.Pair{S: pr[0], T: pr[1]}
+		}
+	case "connected", "pagerank", "clustering":
+		if len(req.Pairs) != 0 {
+			return p, fmt.Errorf("%s queries take no pairs", req.Kind)
+		}
+	default:
+		return p, fmt.Errorf("unknown kind %q (want reliability, distance, connected, pagerank or clustering)", req.Kind)
 	}
-	// Reliability and distance come from the same merged SP+RL pass, so
-	// they share one kind-agnostic cache entry (and, on a miss, one
-	// coalesced flight).
-	key := pairQueryKey(gid, keyOpts, pairs)
-	compute := func(ctx context.Context, g *ugs.Graph, opts ugs.MCOptions) (*queryEntry, error) {
-		if opts.Target != nil {
-			// Adaptive runs bypass the batcher: the stopping decision
-			// depends on every tracked pair, so merging this request's
-			// pairs with a stranger's would move its stopping point and
-			// break the bit-identical-to-direct-call contract. The world
-			// cache still shares the underlying fills.
-			sp, rl, info, err := ugs.ShortestDistanceAndReliabilityRun(ctx, g, pairs, opts)
-			if err != nil {
-				return nil, err
+	opts := ugs.MCOptions{Seed: req.Seed, Workers: cfg.Workers, Lanes: cfg.Lanes, FanOut: cfg.FanOut}
+	var err error
+	if req.Lanes != "" {
+		if opts.Lanes, err = ugs.ParseLanes(req.Lanes); err != nil {
+			return p, err
+		}
+	}
+	if req.FanOut != "" {
+		if opts.FanOut, err = ugs.ParseFanOut(req.FanOut); err != nil {
+			return p, err
+		}
+	}
+	switch conf := req.Confidence; {
+	case conf == nil:
+		opts.Samples = cmp.Or(req.Samples, 500)
+		if opts.Samples < 1 || opts.Samples > cfg.MaxSamples {
+			return p, fmt.Errorf("samples %d outside [1, %d]", opts.Samples, cfg.MaxSamples)
+		}
+	case req.Samples != 0:
+		return p, errors.New("samples and confidence are mutually exclusive (confidence decides the budget)")
+	case req.Kind == "pagerank" || req.Kind == "clustering":
+		// The per-vertex kinds run scalar worlds and have no per-estimate
+		// CI, so a target is rejected rather than silently ignored.
+		return p, fmt.Errorf("confidence is not supported for %s queries (per-vertex estimates run scalar worlds)", req.Kind)
+	default:
+		// The server's sample cap bounds the adaptive budget too; keep the
+		// schedule legal when the cap is below the default MinSamples.
+		opts.Target = ugs.WithConfidence(conf.Eps, conf.Delta)
+		opts.Target.MaxSamples = cfg.MaxSamples
+		if cfg.MaxSamples < 128 {
+			opts.Target.MinSamples = cfg.MaxSamples
+		}
+	}
+	if err := opts.Validate(); err != nil {
+		return p, err
+	}
+	p.run, p.key = opts, opts
+	if opts.Target != nil {
+		t := *opts.Target
+		if !deadline.IsZero() {
+			// Back the engine deadline off the request's so encoding and
+			// writing the degraded answer still fit inside it.
+			t.Deadline = deadline.Add(-min(200*time.Millisecond, deadline.Sub(now)/10))
+		}
+		if pressure() >= degradePressure {
+			t.MaxSamples = min(t.MaxSamples, max(t.MaxSamples/4, degradedMinSamples, t.MinSamples))
+		}
+		p.run.Target = &t
+	}
+	return p, nil
+}
+
+// queryKey is the cache identity of a plan on the graph version gid:
+// "<kind>|<gid>|s=<seed>|n=<samples>", then for adaptive runs the stopping
+// target (which changes the drawn sample count, hence the estimate), then
+// for pair kinds a hash of the pair list. Reliability and distance come from
+// the same merged SP+RL pass, so both are keyed "pq" and share one entry
+// (and, on a miss, one coalesced flight); connectivity is keyed "cn". Lanes,
+// FanOut and Workers are deliberately excluded: every width and source group
+// size is bit-identical, so a cached result is valid for all of them.
+func queryKey(p *queryPlan, gid string) string {
+	b := make([]byte, 0, 128)
+	switch p.kind {
+	case "reliability", "distance":
+		b = append(b, "pq"...)
+	case "connected":
+		b = append(b, "cn"...)
+	default:
+		b = append(b, p.kind...)
+	}
+	b = append(append(append(b, '|'), gid...), "|s="...)
+	b = append(strconv.AppendInt(b, p.key.Seed, 10), "|n="...)
+	b = strconv.AppendInt(b, int64(p.key.Samples), 10)
+	if t := p.key.Target; t != nil {
+		b = strconv.AppendFloat(append(b, "|eps="...), t.Eps, 'g', -1, 64)
+		b = strconv.AppendFloat(append(b, ",delta="...), t.Delta, 'g', -1, 64)
+		b = strconv.AppendInt(append(b, ",max="...), int64(t.MaxSamples), 10)
+	}
+	if p.pairs != nil {
+		h := sha256.New()
+		var buf [16]byte
+		for _, pr := range p.pairs {
+			binary.LittleEndian.PutUint64(buf[0:8], uint64(pr.S))
+			binary.LittleEndian.PutUint64(buf[8:16], uint64(pr.T))
+			h.Write(buf[:])
+		}
+		var sum [sha256.Size]byte
+		b = hex.AppendEncode(append(b, '|'), h.Sum(sum[:0])[:16])
+	}
+	return string(b)
+}
+
+// runQuery computes a plan's answer on g under opts: the one computation
+// behind a request's cache miss (opts = the run options) and a degraded
+// entry's revalidation (opts = the key options).
+func (s *Server) runQuery(ctx context.Context, p *queryPlan, g *ugs.Graph, gid string, opts ugs.MCOptions) (*queryEntry, error) {
+	if s.worlds != nil {
+		opts.FillCache, opts.FillID = s.worlds, gid
+	}
+	e := &queryEntry{graph: gid, info: ugs.MCRunInfo{Samples: opts.Samples, Rounds: 1, Converged: true}}
+	var err error
+	switch {
+	case p.pairs != nil && opts.Target != nil:
+		// Adaptive runs bypass the batcher: the stopping decision depends
+		// on every tracked pair, so merging this request's pairs with a
+		// stranger's would move its stopping point and break the
+		// bit-identical-to-direct-call contract. The world cache still
+		// shares the underlying fills.
+		e.sp, e.rl, e.info, err = ugs.ShortestDistanceAndReliabilityRun(ctx, g, p.pairs, opts)
+	case p.pairs != nil:
+		e.sp, e.rl, err = s.batcher.PairQuery(ctx, gid, g, p.pairs, opts)
+	case p.kind == "connected":
+		e.connected, e.info, err = ugs.ConnectedProbabilityRun(ctx, g, opts)
+	case p.kind == "pagerank":
+		e.values, err = ugs.ExpectedPageRank(ctx, g, opts, ugs.PageRankOptions{})
+	default:
+		e.values, err = ugs.ExpectedClusteringCoefficients(ctx, g, opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// queryResponse builds the answer every query kind shares. Lanes and FanOut
+// echo the requested execution shape (ablation knobs, not part of the
+// result); Converged is only meaningful for adaptive runs. An adaptive
+// answer that stopped short of its target is flagged degraded and counted.
+// The response points into the entry, which is never written once cached.
+func (s *Server) queryResponse(p *queryPlan, e *queryEntry, cached bool) QueryResponse {
+	resp := QueryResponse{Kind: p.kind, Samples: e.info.Samples, Lanes: ugs.FormatLanes(p.run.Lanes),
+		FanOut: ugs.FormatFanOut(p.run.FanOut), Cached: cached}
+	src := e.values
+	switch p.kind {
+	case "reliability":
+		src = e.rl
+	case "distance":
+		src = e.sp
+	case "connected":
+		resp.Value = &e.connected
+	}
+	if src != nil {
+		// A distance is NaN for a pair never connected in any sampled
+		// world; it goes out as null.
+		resp.Values = make([]*float64, len(src))
+		for i := range src {
+			if !math.IsNaN(src[i]) {
+				resp.Values[i] = &src[i]
 			}
-			return &queryEntry{graph: gid, sp: sp, rl: rl, info: info}, nil
-		}
-		sp, rl, err := s.batcher.PairQuery(ctx, gid, g, pairs, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &queryEntry{graph: gid, sp: sp, rl: rl, info: ugs.MCRunInfo{Samples: opts.Samples, Rounds: 1, Converged: true}}, nil
-	}
-	entry, cached, err := s.queryDo(ctx, key, func() (*queryEntry, error) { return compute(ctx, g, runOpts) })
-	if err != nil {
-		s.writeComputeErr(w, err)
-		return
-	}
-	s.maybeRevalidate(key, req.Graph, gid, keyOpts, entry, cached, compute)
-	src := entry.rl
-	if req.Kind == "distance" {
-		src = entry.sp
-	}
-	values := make([]*float64, len(src))
-	for i, v := range src {
-		if !math.IsNaN(v) {
-			v := v
-			values[i] = &v
 		}
 	}
-	writeJSON(w, http.StatusOK, s.queryResponse(req.Kind, runOpts, entry, cached, QueryResponse{Values: values}))
+	if p.run.Target != nil {
+		resp.Rounds = e.info.Rounds
+		resp.Converged = &e.info.Converged
+		if !e.info.Converged {
+			resp.Degraded = true
+			resp.AchievedEps = e.info.AchievedEps
+			s.resilience.degraded.Add(1)
+		}
+	}
+	return resp
 }
 
-func (s *Server) handleConnectedQuery(ctx context.Context, w http.ResponseWriter, req *QueryRequest, g *ugs.Graph, gid string, runOpts, keyOpts ugs.MCOptions) {
-	if len(req.Pairs) != 0 {
-		writeErr(w, http.StatusBadRequest, "connected queries take no pairs")
-		return
-	}
-	key := "cn|" + scalarQueryKey(gid, keyOpts)
-	compute := func(ctx context.Context, g *ugs.Graph, opts ugs.MCOptions) (*queryEntry, error) {
-		p, info, err := ugs.ConnectedProbabilityRun(ctx, g, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &queryEntry{graph: gid, connected: p, info: info}, nil
-	}
-	entry, cached, err := s.queryDo(ctx, key, func() (*queryEntry, error) { return compute(ctx, g, runOpts) })
-	if err != nil {
-		s.writeComputeErr(w, err)
-		return
-	}
-	s.maybeRevalidate(key, req.Graph, gid, keyOpts, entry, cached, compute)
-	v := entry.connected
-	writeJSON(w, http.StatusOK, s.queryResponse(req.Kind, runOpts, entry, cached, QueryResponse{Value: &v}))
-}
-
-// maybeRevalidate is the stale-while-revalidate trigger: a cache hit on a
-// degraded entry was served immediately (stale), and at most one background
-// recompute per entry runs the query at its full budget under the server
-// lifetime — no request deadline, no shrunk samples — then swaps the fresh
-// result in under the same key.
-func (s *Server) maybeRevalidate(key, name, gid string, keyOpts ugs.MCOptions, entry *queryEntry, cached bool, compute func(context.Context, *ugs.Graph, ugs.MCOptions) (*queryEntry, error)) {
-	if !cached || keyOpts.Target == nil || entry.info.Converged {
-		return
-	}
+// revalidate is the stale-while-revalidate trigger for a cache hit on a
+// degraded entry, which was served as it is: at most one background
+// recompute per entry runs the query at its full budget (the key options)
+// under the server lifetime — no request deadline, no shrunk samples — then
+// swaps the fresh result in under the same key.
+func (s *Server) revalidate(p *queryPlan, name, gid, key string, stale *queryEntry) {
 	s.resilience.staleServed.Add(1)
-	if !entry.revalidating.CompareAndSwap(false, true) {
+	if !stale.revalidating.CompareAndSwap(false, true) {
 		return
 	}
 	s.resilience.revalidations.Add(1)
-	go func() {
+	go func(p queryPlan) {
 		// Reacquire by name: the stale entry must not pin the graph for the
 		// whole recompute, and a graph replaced since (new gid) invalidates
 		// the key anyway.
+		var fresh *queryEntry
 		g, id, release, err := s.acquireGraph(s.base, name)
-		if err != nil {
-			entry.revalidating.Store(false)
-			return
+		if err == nil {
+			defer release()
+			if id == gid {
+				// A failed recompute needs no report: the stale entry keeps
+				// serving, and the next hit on it tries again.
+				fresh, _ = s.runQuery(s.base, &p, g, gid, p.key)
+			}
 		}
-		defer release()
-		if id != gid {
-			entry.revalidating.Store(false)
-			return
-		}
-		fresh, err := compute(s.base, g, keyOpts)
-		if err != nil || fresh == nil {
-			entry.revalidating.Store(false)
+		if fresh == nil {
+			stale.revalidating.Store(false)
 			return
 		}
 		if !fresh.info.Converged {
@@ -872,99 +910,7 @@ func (s *Server) maybeRevalidate(key, name, gid string, keyOpts ugs.MCOptions, e
 			fresh.revalidating.Store(true)
 		}
 		s.queries.Replace(key, fresh)
-	}()
-}
-
-// handleVectorQuery serves the per-vertex kinds (pagerank, clustering).
-// Vector queries run scalar worlds — the planner never routes them to the
-// batch engine — and have no per-estimate CI, so confidence targets are
-// rejected rather than silently ignored.
-func (s *Server) handleVectorQuery(ctx context.Context, w http.ResponseWriter, req *QueryRequest, g *ugs.Graph, gid string, opts ugs.MCOptions) {
-	if len(req.Pairs) != 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("%s queries take no pairs", req.Kind))
-		return
-	}
-	if opts.Target != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("confidence is not supported for %s queries (per-vertex estimates run scalar worlds)", req.Kind))
-		return
-	}
-	key := req.Kind + "|" + scalarQueryKey(gid, opts)
-	entry, cached, err := s.queryDo(ctx, key, func() (*queryEntry, error) {
-		var (
-			values []float64
-			err    error
-		)
-		if req.Kind == "pagerank" {
-			values, err = ugs.ExpectedPageRank(ctx, g, opts, ugs.PageRankOptions{})
-		} else {
-			values, err = ugs.ExpectedClusteringCoefficients(ctx, g, opts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &queryEntry{graph: gid, values: values, info: ugs.MCRunInfo{Samples: opts.Samples, Rounds: 1, Converged: true}}, nil
-	})
-	if err != nil {
-		s.writeComputeErr(w, err)
-		return
-	}
-	values := make([]*float64, len(entry.values))
-	for i, v := range entry.values {
-		v := v
-		values[i] = &v
-	}
-	writeJSON(w, http.StatusOK, s.queryResponse(req.Kind, opts, entry, cached, QueryResponse{Values: values}))
-}
-
-// queryResponse fills the run-report fields shared by every query kind.
-// Lanes and FanOut echo the requested execution shape (ablation knobs, not
-// part of the result); Converged is only meaningful for adaptive runs. An
-// adaptive answer that stopped short of its target is flagged degraded and
-// counted.
-func (s *Server) queryResponse(kind string, opts ugs.MCOptions, entry *queryEntry, cached bool, resp QueryResponse) QueryResponse {
-	resp.Kind = kind
-	resp.Samples = entry.info.Samples
-	resp.Lanes = ugs.FormatLanes(opts.Lanes)
-	resp.FanOut = ugs.FormatFanOut(opts.FanOut)
-	resp.Cached = cached
-	if opts.Target != nil {
-		resp.Rounds = entry.info.Rounds
-		converged := entry.info.Converged
-		resp.Converged = &converged
-		if !converged {
-			resp.Degraded = true
-			resp.AchievedEps = entry.info.AchievedEps
-			s.resilience.degraded.Add(1)
-		}
-	}
-	return resp
-}
-
-// scalarQueryKey is the cache identity of a pair-free query: the versioned
-// graph, the sample stream, and — for adaptive runs — the stopping target
-// (which changes the drawn sample count, hence the estimate). Lanes, FanOut
-// and Workers are deliberately excluded: every width and source group size
-// is bit-identical, so a cached result is valid for all of them.
-func scalarQueryKey(gid string, opts ugs.MCOptions) string {
-	key := fmt.Sprintf("%s|s=%d|n=%d", gid, opts.Seed, opts.Samples)
-	if t := opts.Target; t != nil {
-		key += fmt.Sprintf("|eps=%g,delta=%g,max=%d", t.Eps, t.Delta, t.MaxSamples)
-	}
-	return key
-}
-
-// pairQueryKey hashes the pair list so repeat queries with identical pair
-// sets hit the cache regardless of length. Like scalarQueryKey it includes
-// the adaptive target but neither the lane width nor the source fan-out.
-func pairQueryKey(gid string, opts ugs.MCOptions, pairs []ugs.Pair) string {
-	h := sha256.New()
-	var buf [16]byte
-	for _, p := range pairs {
-		binary.LittleEndian.PutUint64(buf[0:8], uint64(p.S))
-		binary.LittleEndian.PutUint64(buf[8:16], uint64(p.T))
-		h.Write(buf[:])
-	}
-	return fmt.Sprintf("pq|%s|%x", scalarQueryKey(gid, opts), h.Sum(nil)[:16])
+	}(*p)
 }
 
 // ------------------------------------------------------------------- jobs
@@ -974,9 +920,13 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	g, gid, release, err := s.validateSparsify(r.Context(), &req)
+	if err := validateSparsify(&req); err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	g, gid, release, err := s.acquireGraph(r.Context(), req.Graph)
 	if err != nil {
-		s.writeRequestErr(w, err)
+		s.writeAcquireErr(w, err)
 		return
 	}
 	// The pin must outlive this handler: the job goroutine reads the
@@ -1183,18 +1133,6 @@ func (s *Server) writeAcquireErr(w http.ResponseWriter, err error) {
 	default:
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error(), 0)
 	}
-}
-
-// writeRequestErr maps sparsify-validation failures: store errors keep their
-// typed codes, anything else is the caller's fault.
-func (s *Server) writeRequestErr(w http.ResponseWriter, err error) {
-	var qe *QuarantineError
-	if errors.As(err, &qe) || errors.Is(err, ErrUnknownGraph) ||
-		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.writeAcquireErr(w, err)
-		return
-	}
-	writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
 }
 
 // writeAdmitErr reports a request that failed admission: shed by the limiter

@@ -182,6 +182,14 @@ var ErrUnknownGraph = errors.New("unknown graph")
 // Names never contain '@', so only store IDs ("name@gen") do.
 var graphNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]*$`)
 
+// checkName rejects a graph name graphNameRE does not match.
+func checkName(name string) error {
+	if !graphNameRE.MatchString(name) {
+		return fmt.Errorf("serve: invalid graph name %q (want %s)", name, graphNameRE)
+	}
+	return nil
+}
+
 // graphID is the versioned identifier of a name's generation, the prefix of
 // every cache key computed from it.
 func graphID(name string, gen int) string { return name + "@" + strconv.Itoa(gen) }
@@ -256,8 +264,8 @@ func heapGraphBytes(g *ugs.Graph) int64 {
 // is evictable; if spilling fails the graph stays resident unevictably and
 // the failure is counted (StoreStats.SpillFailures).
 func (s *Store) Add(name string, g *ugs.Graph) error {
-	if !graphNameRE.MatchString(name) {
-		return fmt.Errorf("serve: invalid graph name %q (want %s)", name, graphNameRE)
+	if err := checkName(name); err != nil {
+		return err
 	}
 	info := Info(name, g)
 	bytes := heapGraphBytes(g)
@@ -326,8 +334,12 @@ func (s *Store) spillTemp(name string, g *ugs.Graph) (string, error) {
 }
 
 // AddReader parses the text interchange format from r and registers the
-// graph under name.
+// graph under name. An invalid name is rejected before r is read, so a bad
+// upload URL never costs a parse of its body.
 func (s *Store) AddReader(name string, r io.Reader) (*ugs.Graph, error) {
+	if err := checkName(name); err != nil {
+		return nil, err
+	}
 	g, err := ugs.ReadGraph(r)
 	if err != nil {
 		return nil, err
@@ -525,8 +537,8 @@ func (s *Store) LoadDir(dir string) ([]string, error) {
 // and converted to a mapped sidecar (falling back to an unevictable heap
 // graph if conversion fails).
 func (s *Store) loadFile(name, path string) error {
-	if !graphNameRE.MatchString(name) {
-		return fmt.Errorf("serve: invalid graph name %q (want %s)", name, graphNameRE)
+	if err := checkName(name); err != nil {
+		return err
 	}
 	if err := s.ioFaults(); err != nil {
 		return err
