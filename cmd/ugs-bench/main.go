@@ -384,9 +384,11 @@ func main() {
 	// one traversal per source at the SAME lane width, so the pair of rows
 	// isolates the fan-out win from the lane win. The scalar-width rows
 	// (one world per traversal, where per-arc overhead dominates) are where
-	// grouping pays most; the /x64 rows measure it on the 64-lane engine,
-	// whose word-parallel traversals already amortize most per-arc cost.
-	// Results are bit-identical between each row and its ablation.
+	// grouping pays most. The /x64 rows run the 64-lane engine, where a
+	// source with a single target is answered by a pair search instead of
+	// a source traversal, so fan-out does not apply and the row and its
+	// ablation run the same pair searches. Results are bit-identical
+	// between each row and its ablation.
 	multiPairs := func(n int) []ugs.Pair {
 		nv := g.NumVertices()
 		ps := make([]ugs.Pair, n)

@@ -31,10 +31,11 @@ type Config struct {
 	// force the scalar one-world-per-traversal ablation. 0 lets the planner
 	// choose; results are bit-identical at any width.
 	Lanes int
-	// FanOut pins the pair-estimator source group size (1 = one traversal
-	// per source, the per-source ablation; 2..64 = explicit multi-source
-	// groups). 0 lets the planner choose; results are bit-identical at any
-	// fan-out.
+	// FanOut pins the source group size of the pair estimators' source
+	// traversals (1 = one traversal per source, the per-source ablation;
+	// 2..64 = explicit multi-source groups); pairs routed to pair searches
+	// ignore it. 0 lets the planner choose; results are bit-identical at
+	// any fan-out.
 	FanOut int
 	// ConfEps, when > 0, switches the Monte-Carlo query phases to adaptive
 	// sequential stopping: sample until every estimate's CI half-width is

@@ -29,11 +29,13 @@ type Options struct {
 	// select an explicit WorldBatch width. The width is an execution
 	// choice only — estimates are bit-identical across all of them.
 	Lanes int
-	// FanOut selects how many distinct query sources a pair estimator
-	// traversal carries at once: 0 is automatic (a fixed rule over the lane
-	// width and the distinct-source count), 1 forces one traversal per
-	// source (the per-source ablation), and 2..64 pin an explicit group
-	// size. Like Lanes, it is an execution choice only — per-pair
+	// FanOut selects how many distinct query sources a pair estimator's
+	// source traversal carries at once: 0 is automatic (a fixed rule over
+	// the lane width and the distinct-source count), 1 forces one traversal
+	// per source (the per-source ablation), and 2..64 pin an explicit group
+	// size. It applies to source traversals only: at batch widths a pair
+	// whose source has few targets runs a pair search instead, whatever the
+	// fan-out. Like Lanes, it is an execution choice only — per-pair
 	// estimates are bit-identical across every fan-out.
 	FanOut int
 	// Target, when non-nil, switches supporting estimators from the fixed
@@ -152,8 +154,9 @@ func FormatLanes(lanes int) string {
 }
 
 // ParseFanOut resolves a -fan-out flag value: "auto" (or "") leaves the
-// group size to the planner, "1" forces the per-source ablation, and
-// "2".."64" pin an explicit multi-source group size.
+// group size of source traversals to the planner, "1" forces the
+// per-source ablation, and "2".."64" pin an explicit multi-source group
+// size. Pairs routed to pair searches ignore it.
 func ParseFanOut(s string) (int, error) {
 	if s == "" || s == "auto" {
 		return 0, nil

@@ -125,8 +125,9 @@ func ShortestDistance(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts m
 }
 
 // ShortestDistanceAndReliability computes the SP and RL estimates of both
-// queries from a single Monte-Carlo pass (one traversal per distinct source
-// per world batch — or per world at Lanes: 1), which is how
+// queries from a single Monte-Carlo pass (per world batch, one pair search
+// per pair whose source has few targets and one traversal per remaining
+// source — or one traversal per source per world at Lanes: 1), which is how
 // the experiment harness evaluates them together.
 func ShortestDistanceAndReliability(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options) (sp, rl []float64, err error) {
 	sp, rl, _, err = ShortestDistanceAndReliabilityRun(ctx, g, pairs, opts)
@@ -204,8 +205,8 @@ func pairStats(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Optio
 	return res, mc.RunInfo{Samples: opts.WithDefaults().Samples, Rounds: 1, Converged: true}, nil
 }
 
-// countDistinctSources is the fan-out planner's input: a group can never
-// usefully exceed the number of distinct traversal roots.
+// countDistinctSources is the scalar fan-out planner's input: a group can
+// never usefully exceed the number of distinct traversal roots.
 func countDistinctSources(pairs []Pair) int {
 	seen := make(map[int]struct{}, len(pairs))
 	for _, p := range pairs {
@@ -214,31 +215,26 @@ func countDistinctSources(pairs []Pair) int {
 	return len(seen)
 }
 
-// pairStatsFixed runs one fixed-budget pass at the engine width and source
-// fan-out the planner (or explicit Options) picks for its budget: fan > 1
-// routes through the multi-source kernels, which group distinct sources
-// into fan-sized traversal passes.
+// pairStatsFixed runs one fixed-budget pass at the engine width the planner
+// (or explicit Options) picks for its budget. Scalar worlds traverse per
+// source, or per fan-sized source group on the multi-source kernel. Batch
+// widths route the pairs first (routePairs): few-target sources get one
+// pair search per pair, the rest one source traversal per source or source
+// group, all inside the same pass.
 func pairStatsFixed(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options) ([]pairResult, error) {
 	lanes := planLanes(opts, KindPair)
-	fan := planFanOut(opts, countDistinctSources(pairs), lanes)
-	if fan > 1 {
-		switch lanes {
-		case 1:
+	if lanes == 1 {
+		if fan := planFanOut(opts, countDistinctSources(pairs), lanes); fan > 1 {
 			return pairStatsScalarMulti(ctx, g, pairs, opts, fan)
-		case ugraph.BatchLanes:
-			return pairStatsMulti[ugraph.Vec64](ctx, g, pairs, opts, fan)
-		default:
-			return pairStatsMulti[ugraph.Vec256](ctx, g, pairs, opts, fan)
 		}
-	}
-	switch lanes {
-	case 1:
 		return pairStatsScalar(ctx, g, pairs, opts)
-	case ugraph.BatchLanes:
-		return pairStatsBatch[ugraph.Vec64](ctx, g, pairs, opts)
-	default:
-		return pairStatsBatch[ugraph.Vec256](ctx, g, pairs, opts)
 	}
+	r := routePairs(pairs)
+	fan := planFanOut(opts, len(r.sources), lanes)
+	if lanes == ugraph.BatchLanes {
+		return pairStatsBatch[ugraph.Vec64](ctx, g, pairs, opts, r, fan)
+	}
+	return pairStatsBatch[ugraph.Vec256](ctx, g, pairs, opts, r, fan)
 }
 
 // pairStatsAdaptive drives the sequential-stopping schedule: each round is
@@ -283,59 +279,75 @@ func pairStatsAdaptive(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts 
 	return acc, info, nil
 }
 
-// pairStatsBatch runs one mask-BFS per distinct source per world batch: the
-// traversal settles every lane's distance in a single pass, and the
-// per-target reachability popcount and depth sum fold VecLanes[V] worlds of
-// SP/RL evidence per pair in O(1). Each engine worker reuses one MaskBFS.
-func pairStatsBatch[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options) ([]pairResult, error) {
-	bySource, sources := groupPairsBySource(pairs)
-	return mc.ReduceBatch(ctx, g, opts,
-		func() *MaskBFS[V] { return NewMaskBFS[V](g.NumVertices()) },
-		func() []pairResult { return make([]pairResult, len(pairs)) },
-		func(_ int, wb *ugraph.WorldBatch[V], bfs *MaskBFS[V], acc []pairResult) {
-			lanes := wb.Lanes()
-			for _, s := range sources {
-				reach := bfs.ReachFrom(wb, s)
-				depthSum := bfs.DepthSums()
-				for _, i := range bySource[s] {
-					t := pairs[i].T
-					acc[i].samples += lanes
-					acc[i].reachable += ugraph.VecOnesCount(reach[t])
-					acc[i].distSum += float64(depthSum[t])
-				}
-			}
-		},
-		mergePairResults,
-	)
+// pairKernels is one engine worker's traversal state for a routed batch
+// pass. The kernels share one arc table, so each batch fill is gathered
+// once whichever of them run; only the kernels the route needs exist.
+type pairKernels[V ugraph.Vec] struct {
+	ps  *PairSearch[V] // searched pairs
+	bfs *MaskBFS[V]    // source traversals, one source each (fan 1)
+	ms  *MSBFS[V]      // source traversals, fan sources each
 }
 
-// pairStatsMulti runs one multi-source mask-BFS per fan-sized group of
-// distinct sources per world batch: the grouped traversal expands each CSR
-// arc once per level for the whole group, amortizing the arc stream and
-// level control flow across sources the way the lane transposition
-// amortizes them across worlds. Source slots never mix, so every pair's
-// reachability popcount and depth sum are the exact values the per-source
-// path (pairStatsBatch) accumulates. Each engine worker reuses one MSBFS.
-func pairStatsMulti[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options, fan int) ([]pairResult, error) {
-	bySource, sources := groupPairsBySource(pairs)
+func newPairKernels[V ugraph.Vec](n int, r pairRoute, fan int) *pairKernels[V] {
+	tab := new(arcTable[V])
+	k := &pairKernels[V]{}
+	if len(r.searched) > 0 {
+		k.ps = NewPairSearch[V](n)
+		k.ps.arcTable = tab
+	}
+	switch {
+	case len(r.sources) == 0:
+	case fan > 1:
+		k.ms = NewMSBFS[V](n, fan)
+		k.ms.arcTable = tab
+	default:
+		k.bfs = NewMaskBFS[V](n)
+		k.bfs.arcTable = tab
+	}
+	return k
+}
+
+// pairStatsBatch runs one routed pass over lane-transposed world batches.
+// Per batch it answers each searched pair with one pair search, then each
+// traversal source with one mask-BFS — or, at fan > 1, each fan-sized group
+// of them with one multi-source mask-BFS, which expands each CSR arc once
+// per level for the whole group, amortizing the arc stream across sources
+// the way the lane transposition amortizes it across worlds. Every kernel
+// folds VecLanes[V] worlds of SP/RL evidence per pair in O(1): the
+// reachability popcount and the exact integer depth sum at the target, so
+// per-pair results do not depend on the route, the fan-out or the width.
+func pairStatsBatch[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options, r pairRoute, fan int) ([]pairResult, error) {
 	return mc.ReduceBatch(ctx, g, opts,
-		func() *MSBFS[V] { return NewMSBFS[V](g.NumVertices(), fan) },
+		func() *pairKernels[V] { return newPairKernels[V](g.NumVertices(), r, fan) },
 		func() []pairResult { return make([]pairResult, len(pairs)) },
-		func(_ int, wb *ugraph.WorldBatch[V], ms *MSBFS[V], acc []pairResult) {
+		func(_ int, wb *ugraph.WorldBatch[V], k *pairKernels[V], acc []pairResult) {
 			lanes := wb.Lanes()
-			for base := 0; base < len(sources); base += fan {
-				end := base + fan
-				if end > len(sources) {
-					end = len(sources)
-				}
-				grp := sources[base:end]
-				ms.ReachFrom(wb, grp)
-				for k, s := range grp {
-					for _, i := range bySource[s] {
+			add := func(i int, reach V, depthSum int64) {
+				acc[i].samples += lanes
+				acc[i].reachable += ugraph.VecOnesCount(reach)
+				acc[i].distSum += float64(depthSum)
+			}
+			for _, i := range r.searched {
+				reach, depthSum := k.ps.Search(wb, pairs[i].S, pairs[i].T)
+				add(i, reach, depthSum)
+			}
+			if k.bfs != nil {
+				for _, s := range r.sources {
+					reach := k.bfs.ReachFrom(wb, s)
+					depthSum := k.bfs.DepthSums()
+					for _, i := range r.bySource[s] {
 						t := pairs[i].T
-						acc[i].samples += lanes
-						acc[i].reachable += ugraph.VecOnesCount(ms.Reach(t, k))
-						acc[i].distSum += float64(ms.DepthSum(t, k))
+						add(i, reach[t], depthSum[t])
+					}
+				}
+			}
+			for base := 0; k.ms != nil && base < len(r.sources); base += fan {
+				grp := r.sources[base:min(base+fan, len(r.sources))]
+				k.ms.ReachFrom(wb, grp)
+				for slot, s := range grp {
+					for _, i := range r.bySource[s] {
+						t := pairs[i].T
+						add(i, k.ms.Reach(t, slot), k.ms.DepthSum(t, slot))
 					}
 				}
 			}
@@ -344,10 +356,10 @@ func pairStatsMulti[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, pairs []
 	)
 }
 
-// pairStatsScalarMulti is the scalar-world ablation of pairStatsMulti: one
-// source-bitmask BFS per fan-sized group per world, walking each present
-// arc of a level once for the whole group. Per-pair results are exactly
-// pairStatsScalar's.
+// pairStatsScalarMulti is the scalar-world counterpart of the multi-source
+// batch path: one source-bitmask BFS per fan-sized group per world, walking
+// each present arc of a level once for the whole group. Per-pair results
+// are exactly pairStatsScalar's.
 func pairStatsScalarMulti(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options, fan int) ([]pairResult, error) {
 	bySource, sources := groupPairsBySource(pairs)
 	return mc.Reduce(ctx, g, opts,

@@ -27,7 +27,7 @@ type MaskBFS[V ugraph.Vec] struct {
 	curQ     []int32 // vertices with nonzero cur bits
 	nextQ    []int32 // vertices with nonzero next bits
 
-	arcTable[V]
+	*arcTable[V]
 }
 
 // packedArc is one CSR arc fused with its edge's lane mask for the bound
@@ -37,13 +37,14 @@ type packedArc[V ugraph.Vec] struct {
 	to   int32
 }
 
-// arcTable is the per-arc gather table shared by the single- and
-// multi-source mask-BFS kernels, in CSR arc order: each entry packs the
-// arc's target vertex with the bound batch's lane mask of the arc's edge,
-// so a traversal's inner loop consumes one sequential stream instead of
-// chasing masks[arc.ID] per arc. The gather costs one 2|E| pass per batch
-// fill and is amortized over every traversal of that fill (one per distinct
-// query source, or one per source group on the multi-source engine); cache
+// arcTable is the per-arc gather table of the traversal kernels (mask-BFS,
+// multi-source mask-BFS, pair search), in CSR arc order: each entry packs
+// the arc's target vertex with the bound batch's lane mask of the arc's
+// edge, so a traversal's inner loop consumes one sequential stream instead
+// of chasing masks[arc.ID] per arc. The gather costs one 2|E| pass per
+// batch fill and is amortized over every traversal of that fill (one per
+// distinct query source or source group, one per searched pair); kernels
+// that serve one query share a table, so a fill is gathered once. Cache
 // keys make staleness impossible.
 type arcTable[V ugraph.Vec] struct {
 	arcs     []packedArc[V]
@@ -62,6 +63,7 @@ func NewMaskBFS[V ugraph.Vec](n int) *MaskBFS[V] {
 		depthSum: make([]int64, n),
 		curQ:     make([]int32, 0, n),
 		nextQ:    make([]int32, 0, n),
+		arcTable: new(arcTable[V]),
 	}
 }
 

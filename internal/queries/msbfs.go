@@ -39,7 +39,7 @@ type MSBFS[V ugraph.Vec] struct {
 	curQ     []int32 // vertices with any nonzero cur slot
 	nextQ    []int32 // vertices with any nonzero next slot
 
-	arcTable[V]
+	*arcTable[V]
 }
 
 // NewMSBFS returns a multi-source mask-BFS for graphs with n vertices,
@@ -56,6 +56,7 @@ func NewMSBFS[V ugraph.Vec](n, fan int) *MSBFS[V] {
 		depthSum: make([]int64, n*fan),
 		curQ:     make([]int32, 0, n),
 		nextQ:    make([]int32, 0, n),
+		arcTable: new(arcTable[V]),
 	}
 }
 

@@ -135,14 +135,22 @@ func TestMSWorldBFSMatchesScalarBFS(t *testing.T) {
 }
 
 // multiPairCase builds a pair list that stresses the grouped estimators:
-// several pairs sharing one source, duplicate pairs, and pairs whose
-// sources collide with targets.
+// several pairs sharing one source, duplicate pairs, pairs whose sources
+// collide with targets, and, after the count random ones, nine sources
+// with more targets than pairSearchTargets, which batch widths answer with
+// source traversals (grouped ones at fan-out > 1) beside the pair searches
+// of the rest.
 func multiPairCase(rng *rand.Rand, n, count int) []Pair {
 	pairs := RandomPairs(n, count, rng)
 	if count >= 4 && n >= 3 {
 		pairs[1].S = pairs[0].S                       // shared source
 		pairs[2] = pairs[0]                           // duplicate pair
 		pairs[3] = Pair{S: pairs[0].T, T: pairs[0].S} // reversed
+	}
+	for j, s := range rng.Perm(n)[:min(9, n)] {
+		for i := 0; i <= pairSearchTargets+j%2; i++ {
+			pairs = append(pairs, Pair{S: s, T: rng.Intn(n)})
+		}
 	}
 	return pairs
 }
@@ -152,7 +160,9 @@ func multiPairCase(rng *rand.Rand, n, count int) []Pair {
 // the auto plan), worker count and fan-out, grouped traversals must produce
 // bit-identical per-pair SP and RL estimates to the per-source ablation
 // (FanOut: 1) on the same seed — over pair lists with shared and duplicate
-// sources.
+// sources. At batch widths the grouped traversals carry the many-target
+// sources of multiPairCase; the other pairs run pair searches whatever
+// the fan-out.
 func TestMultiSourceMatchesPerSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	g := randomQueryGraph(rng, 60, 0.12)

@@ -6,8 +6,8 @@ import (
 )
 
 // Kind classifies a query for the execution planner: pair queries
-// (reliability / shortest distance) fan one traversal out over many
-// targets, connectivity sweeps every vertex once, and vector queries
+// (reliability / shortest distance) answer source/target pairs,
+// connectivity sweeps every vertex once, and vector queries
 // (PageRank, clustering) need real-valued per-world state that the
 // bit-parallel engine cannot carry.
 type Kind int
@@ -23,27 +23,64 @@ const (
 )
 
 // The engine shape an automatic run takes is a fixed rule over the query
-// kind, the sample budget and the distinct-source count — no timing, no
-// state, the same answer on every run. Every shape returns bit-identical
-// estimates, so the rule only trades speed, and it picks the shape that
-// measured fastest (or close to it) across the committed graphs and the
-// s10k/s100k social graphs (BenchmarkPlannerGrid):
+// kind, the sample budget and the pairs' sources — no timing, no state, the
+// same answer on every run. Every shape returns bit-identical estimates, so
+// the rule only trades speed, and it picks the shape that measured fastest
+// (or close to it) across the committed graphs and the s10k/s100k social
+// graphs (BenchmarkPlannerGrid):
 //
-//   - pair queries with at least wideBudget samples run 256 lanes, one
-//     source per traversal: wide vectors amortize per-arc control flow over
+//   - pair queries with at least wideBudget samples run 256 lanes, smaller
+//     budgets 64 lanes: wide vectors amortize per-arc control flow over
 //     more worlds once the budget fills them;
-//   - smaller pair budgets run 64 lanes and group groupFanOut sources per
+//   - at either width, a pair whose source has at most pairSearchTargets
+//     targets runs a pair search (PairSearch), which stops each lane where
+//     the source and target balls meet; the other pairs share one source
+//     traversal per source, which settles every target at once;
+//   - source traversals at 64 lanes group groupFanOut sources per
 //     traversal when there are that many, amortizing the arc stream across
-//     sources instead;
+//     sources; at 256 lanes they run one source each;
 //   - connectivity runs 64 lanes: one traversal per batch leaves it
 //     fill-bound, where wider vectors gain nothing.
+//
+// The route to pair searches applies to explicit shapes too: Options.Lanes
+// and Options.FanOut pin the width and the source group size of the source
+// traversals, and only Lanes: 1 (the scalar reference) runs no pair search.
 const (
 	// wideBudget is the smallest pair-query budget that runs at 256 lanes.
 	wideBudget = 384
-	// groupFanOut is the source group size of auto-planned 64-lane pair
-	// queries with at least that many distinct sources.
+	// groupFanOut is the source group size of auto-planned 64-lane source
+	// traversals with at least that many distinct sources.
 	groupFanOut = 8
+	// pairSearchTargets is the most targets a source can have for its
+	// pairs to run pair searches instead of one source traversal.
+	pairSearchTargets = 3
 )
+
+// pairRoute splits a batch pass's pairs between the two traversal kinds:
+// searched pairs get one PairSearch each, and the remaining sources one
+// source traversal each (or one per fan-sized group of them).
+type pairRoute struct {
+	searched []int         // indices of pairs answered by a pair search
+	sources  []int         // sorted distinct sources that get a traversal
+	bySource map[int][]int // pair indices per traversal source
+}
+
+// routePairs applies the pairSearchTargets rule: a source's pairs all go to
+// pair searches when it has at most that many of them (duplicates count,
+// since each costs a search), otherwise all to its source traversal.
+func routePairs(pairs []Pair) pairRoute {
+	bySource, sources := groupPairsBySource(pairs)
+	r := pairRoute{bySource: bySource}
+	for _, s := range sources {
+		if idx := bySource[s]; len(idx) <= pairSearchTargets {
+			r.searched = append(r.searched, idx...)
+			delete(bySource, s)
+		} else {
+			r.sources = append(r.sources, s)
+		}
+	}
+	return r
+}
 
 // planLanes resolves the lane width a fixed-budget pass will execute at: the
 // explicit Options.Lanes when one was set, otherwise the rule above applied
@@ -76,12 +113,14 @@ func PlanLanes(_ *ugraph.Graph, opts mc.Options, kind Kind) int {
 	return planLanes(opts, kind)
 }
 
-// planFanOut resolves the source group size a pair-estimator run uses: the
-// explicit Options.FanOut when one was set, otherwise the full 64-source
-// mask on scalar worlds (the grouped BFS walks each present arc of a level
-// once for the whole group, so sharing always amortizes), groupFanOut at 64
-// lanes and one source per traversal at 256. The result is clamped to the
-// number of distinct sources and is always in 1..mc.MaxFanOut. Like the
+// planFanOut resolves the source group size of a pair-estimator run's
+// source traversals: the explicit Options.FanOut when one was set,
+// otherwise the full 64-source mask on scalar worlds (the grouped BFS walks
+// each present arc of a level once for the whole group, so sharing always
+// amortizes), groupFanOut at 64 lanes and one source per traversal at 256.
+// distinct counts the sources that get a traversal — every distinct source
+// on scalar worlds, only the routed ones (routePairs) at batch widths. The
+// result is clamped to distinct and is always in 1..mc.MaxFanOut. Like the
 // lane width, fan-out is a pure execution decision — per-pair results are
 // bit-identical across every value. opts must have passed Validate.
 func planFanOut(opts mc.Options, distinct, lanes int) int {
@@ -100,8 +139,8 @@ func planFanOut(opts mc.Options, distinct, lanes int) int {
 }
 
 // PlanFanOut reports the group size planFanOut would choose for a query
-// with the given number of distinct sources — the introspection hook behind
-// the benchmark harness and tests.
+// whose source traversals start from the given number of distinct sources —
+// the introspection hook behind the benchmark harness and tests.
 func PlanFanOut(_ *ugraph.Graph, opts mc.Options, distinct int, kind Kind) int {
 	return planFanOut(opts, distinct, planLanes(opts, kind))
 }

@@ -15,12 +15,14 @@ import (
 // samples) form a group; a flight concatenates the group's pending pair
 // lists and evaluates them in ONE ShortestDistanceAndReliability run — one
 // mc.ReduceBatch pass whose WorldBatch fills and traversals are shared by
-// every rider. Both amortization axes of the engine therefore work across
-// requests, not just within one: each traversal answers 64 or 256 worlds
-// at once (lanes), and the multi-source kernels walk one shared
-// frontier for a whole group of the merged flight's distinct sources
-// (fan-out), so riders contributing different sources still split the cost
-// of one arc stream.
+// every rider. The engine's amortization therefore works across requests,
+// not just within one: each traversal answers 64 or 256 worlds at once
+// (lanes), and the merged pair list is routed as one query — a source with
+// few targets gets one pair search per pair, while a source that collects
+// many targets across riders is settled by one source traversal, and the
+// multi-source kernels walk one shared frontier for a group of those
+// sources (fan-out), so riders contributing different sources still split
+// the cost of one arc stream.
 //
 // Merging is exact, not approximate: the engine accumulates each pair's
 // counters independently and folds fixed sample blocks in index order, and

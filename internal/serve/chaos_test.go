@@ -234,9 +234,24 @@ func TestOverloadShedsWith429(t *testing.T) {
 // TestDegradedAdaptiveQuery: under limiter pressure an adaptive query
 // shrinks its budget and answers degraded (with its achieved accuracy)
 // instead of queueing at full cost; a repeat hit serves the degraded entry
-// stale and kicks off exactly one background full-budget revalidation.
+// stale and kicks off exactly one background full-budget revalidation. A
+// revalidation that cannot reload its evicted graph is counted in
+// revalidation_failures: a store budget that holds just the test graph
+// makes it evictable, and every store read fails (which no request notices
+// while the graph stays resident). A replaced graph, a name that no longer
+// resolves and shutdown are not counted.
 func TestDegradedAdaptiveQuery(t *testing.T) {
-	s, g := newTestServer(t, Config{MaxCost: 1 << 40, MaxSamples: 4096})
+	ctx, shutdown := context.WithCancel(context.Background())
+	t.Cleanup(shutdown)
+	g := ugs.TwitterLike(80, 7)
+	s, err := New(ctx, Config{MaxCost: 1 << 40, MaxSamples: 4096,
+		StoreBudgetBytes: heapGraphBytes(g), Faults: mustFaults(t, "store.read:err", 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Store().Add("g", g); err != nil {
+		t.Fatal(err)
+	}
 
 	// Occupy 80% of capacity so Pressure() crosses the 0.75 default.
 	release, err := s.limiter.Acquire(context.Background(), (1<<40)*8/10)
@@ -291,6 +306,71 @@ func TestDegradedAdaptiveQuery(t *testing.T) {
 	if stats.Resilience.Degraded == 0 || stats.Resilience.StaleServed == 0 {
 		t.Fatalf("resilience stats missing degradation: %+v", stats.Resilience)
 	}
+	if stats.Resilience.RevalFailures != 0 {
+		t.Fatalf("revalidation_failures = %d after a successful revalidation", stats.Resilience.RevalFailures)
+	}
+
+	// A fresh degraded entry (another seed), then its graph is evicted by
+	// admitting a second one over the budget. The request path would now
+	// fail at acquisition before reaching the cache, so the entry's
+	// revalidations are started directly.
+	body["seed"] = 4
+	req := QueryRequest{Graph: "g", Kind: "reliability", Pairs: [][2]int{{0, g.NumVertices() - 1}}, Seed: 4,
+		Confidence: &Confidence{Eps: 0.00001}}
+	if w := do(t, s, "POST", "/v1/query", body, &resp); w.Code != 200 || !resp.Degraded {
+		t.Fatalf("second degraded query: %d %+v", w.Code, resp)
+	}
+	_, gid, rel, err := s.Store().AcquireCtx(context.Background(), "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel()
+	if err := s.Store().Add("h", ugs.TwitterLike(40, 8)); err != nil {
+		t.Fatal(err)
+	}
+	p, err := planQuery(&req, s.cfg, time.Now(), time.Time{}, func() float64 { return 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := queryKey(&p, gid)
+	stale, ok := s.queries.Get(key)
+	if !ok || stale.info.Converged {
+		t.Fatalf("no degraded entry under %q", key)
+	}
+	// revalidateOnce runs one revalidation of the stale entry against the
+	// graph registered under name and waits for it to give the entry up.
+	revalidateOnce := func(step, name string, wantRevals, wantFailures int64) {
+		t.Helper()
+		s.revalidate(&p, name, gid, key, stale)
+		for deadline := time.Now().Add(10 * time.Second); stale.revalidating.Load(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the revalidation never released its entry", step)
+			}
+		}
+		do(t, s, "GET", "/v1/stats", nil, &stats)
+		if stats.Resilience.Revalidations != wantRevals || stats.Resilience.RevalFailures != wantFailures {
+			t.Fatalf("%s: revalidations %d, revalidation_failures %d; want %d and %d", step,
+				stats.Resilience.Revalidations, stats.Resilience.RevalFailures, wantRevals, wantFailures)
+		}
+	}
+
+	// The reload hits the injected read error: the stale entry keeps
+	// serving, and the failure is counted.
+	revalidateOnce("evicted graph", "g", 2, 1)
+	if e, _ := s.queries.Get(key); e != stale {
+		t.Fatal("a failed revalidation replaced the stale entry")
+	}
+	// The graph is replaced under its name: the key names a dead
+	// generation, so nothing is recomputed and nothing counted.
+	if err := s.Store().Add("g", ugs.TwitterLike(80, 7)); err != nil {
+		t.Fatal(err)
+	}
+	revalidateOnce("replaced graph", "g", 3, 1)
+	// A name that no longer resolves is as dead as a replaced generation.
+	revalidateOnce("unknown graph", "gone", 4, 1)
+	// Shutdown cancels the base context the revalidation runs under.
+	shutdown()
+	revalidateOnce("shutdown", "g", 5, 1)
 }
 
 // TestCoalescedFlightDeadline: when every rider of a batched flight times

@@ -57,19 +57,26 @@ func TestQueryFanOutIsBitIdentical(t *testing.T) {
 }
 
 // TestCoalescedFanOutMatchesDirect: requests coalesced into one merged
-// multi-source flight (explicit FanOut pinned, so the flight's grouped
-// traversals carry several riders' sources at once) must each receive
-// results bit-identical to a direct per-source library call.
+// multi-source flight (explicit FanOut pinned, and each request has a
+// source with six targets, past the pair-search cutoff of three, so the
+// flight's grouped traversal carries a source of every rider at once) must
+// each receive results bit-identical to a direct per-source library call.
 func TestCoalescedFanOutMatchesDirect(t *testing.T) {
 	g := ugs.TwitterLike(90, 13)
 	rng := rand.New(rand.NewSource(41))
 	const seed, samples, fan = 19, 128, 8
 	b, firstStarted, release := gatedBatcher(t)
 
+	withManyTargets := func(pairs []ugs.Pair, src int) []ugs.Pair {
+		for i := 0; i < 6; i++ {
+			pairs = append(pairs, ugs.Pair{S: src, T: (src + 11*i + 1) % g.NumVertices()})
+		}
+		return pairs
+	}
 	reqPairs := [][]ugs.Pair{
-		ugs.RandomPairs(g.NumVertices(), 6, rng),
-		ugs.RandomPairs(g.NumVertices(), 4, rng),
-		ugs.RandomPairs(g.NumVertices(), 5, rng),
+		withManyTargets(ugs.RandomPairs(g.NumVertices(), 6, rng), 10),
+		withManyTargets(ugs.RandomPairs(g.NumVertices(), 4, rng), 11),
+		withManyTargets(ugs.RandomPairs(g.NumVertices(), 5, rng), 12),
 	}
 
 	type out struct {

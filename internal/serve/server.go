@@ -58,10 +58,11 @@ type Config struct {
 	// not set "lanes" themselves: 0 = the planner (auto), 1 = the scalar
 	// ablation, 64/256 = explicit WorldBatch widths.
 	Lanes int
-	// FanOut is the default source group size for pair queries that do
-	// not set "fan_out" themselves: 0 = the planner (auto), 1 = one
-	// traversal per source (the per-source ablation), 2..64 = explicit
-	// multi-source group sizes.
+	// FanOut is the default source group size of pair queries' source
+	// traversals for queries that do not set "fan_out" themselves: 0 = the
+	// planner (auto), 1 = one traversal per source (the per-source
+	// ablation), 2..64 = explicit multi-source group sizes. Pairs whose
+	// source has few targets run pair searches, which it does not apply to.
 	FanOut int
 	// WorldCacheBytes bounds the cross-request sampled-world cache
 	// (default 64 MiB; negative disables it).
@@ -145,6 +146,7 @@ type resilienceCounters struct {
 	degraded      atomic.Int64 // degraded (non-converged adaptive) answers served
 	staleServed   atomic.Int64 // cache hits on degraded entries (stale-while-revalidate)
 	revalidations atomic.Int64 // background full-budget recomputes started
+	revalFailures atomic.Int64 // revalidations that failed to reacquire the graph or recompute
 	retries       atomic.Int64 // compute retries after a foreign owner's cancellation
 	drainRejected atomic.Int64 // requests rejected because shutdown had begun
 	writeFailures atomic.Int64 // responses whose body write failed
@@ -561,11 +563,12 @@ type QueryRequest struct {
 	// width is an execution choice only — estimates are bit-identical
 	// across all of them.
 	Lanes string `json:"lanes,omitempty"`
-	// FanOut selects how many distinct sources one pair-query traversal
-	// carries: "auto" (the planner), "1" (one traversal per source, the
-	// per-source ablation) or "2".."64". Empty uses the server default.
-	// Like Lanes it is an execution choice only — per-pair estimates are
-	// bit-identical across every fan-out.
+	// FanOut selects how many distinct sources one source traversal of a
+	// pair query carries: "auto" (the planner), "1" (one traversal per
+	// source, the per-source ablation) or "2".."64". Empty uses the server
+	// default. Pairs whose source has few targets run pair searches, which
+	// it does not apply to. Like Lanes it is an execution choice only —
+	// per-pair estimates are bit-identical across every fan-out.
 	FanOut string `json:"fan_out,omitempty"`
 	// Confidence switches reliability/distance/connected queries from the
 	// fixed Samples budget to sequential stopping; a request asks for it
@@ -887,19 +890,24 @@ func (s *Server) revalidate(p *queryPlan, name, gid, key string, stale *queryEnt
 	s.resilience.revalidations.Add(1)
 	go func(p queryPlan) {
 		// Reacquire by name: the stale entry must not pin the graph for the
-		// whole recompute, and a graph replaced since (new gid) invalidates
-		// the key anyway.
+		// whole recompute, and a graph replaced since (new gid) or a name
+		// that no longer resolves (an evicted sparsified result) leaves the
+		// key dead anyway, so neither is a failure. Any other error leaves
+		// the stale entry serving and the next hit on it tries again; it is
+		// counted unless shutdown cancelled the recompute, so an entry that
+		// can never refresh shows in /v1/stats.
 		var fresh *queryEntry
 		g, id, release, err := s.acquireGraph(s.base, name)
 		if err == nil {
 			defer release()
 			if id == gid {
-				// A failed recompute needs no report: the stale entry keeps
-				// serving, and the next hit on it tries again.
-				fresh, _ = s.runQuery(s.base, &p, g, gid, p.key)
+				fresh, err = s.runQuery(s.base, &p, g, gid, p.key)
 			}
 		}
 		if fresh == nil {
+			if err != nil && !errors.Is(err, ErrUnknownGraph) && s.base.Err() == nil {
+				s.resilience.revalFailures.Add(1)
+			}
 			stale.revalidating.Store(false)
 			return
 		}
@@ -1021,6 +1029,7 @@ type ResilienceStats struct {
 	Degraded          int64 `json:"degraded"`
 	StaleServed       int64 `json:"stale_served"`
 	Revalidations     int64 `json:"revalidations"`
+	RevalFailures     int64 `json:"revalidation_failures"`
 	Retries           int64 `json:"retries"`
 	DrainRejected     int64 `json:"drain_rejected"`
 	WriteFailures     int64 `json:"write_failures"`
@@ -1043,6 +1052,7 @@ func (s *Server) resilienceStats() ResilienceStats {
 		Degraded:          s.resilience.degraded.Load(),
 		StaleServed:       s.resilience.staleServed.Load(),
 		Revalidations:     s.resilience.revalidations.Load(),
+		RevalFailures:     s.resilience.revalFailures.Load(),
 		Retries:           s.resilience.retries.Load(),
 		DrainRejected:     s.resilience.drainRejected.Load(),
 		WriteFailures:     s.resilience.writeFailures.Load(),
