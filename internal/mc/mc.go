@@ -91,7 +91,7 @@ func Reduce[L, A any](ctx context.Context, g *ugraph.Graph, opts Options,
 	}
 	size, blocks := blockDims(opts.Samples)
 	return runBlocks(ctx, blocks, opts.Workers, newAcc, merge,
-		func() (runBlock func(b int, acc A, cancelled func() bool) bool) {
+		func() (runBlock func(b int, acc A, cancelled func() bool) bool, release func()) {
 			local := newLocal()
 			w := ugraph.NewWorld(g)
 			return func(b int, acc A, cancelled func() bool) bool {
@@ -108,7 +108,7 @@ func Reduce[L, A any](ctx context.Context, g *ugraph.Graph, opts Options,
 					visit(i, w, local, acc)
 				}
 				return true
-			}
+			}, func() {}
 		})
 }
 
@@ -132,7 +132,9 @@ const batchCancelStride = 4
 // retained); the final batch may be ragged (Lanes() < VecLanes[V]). When
 // opts.FillCache is set (with a FillID), full 64-aligned fill blocks are
 // fetched from the cache instead of re-sampled; results are identical
-// either way. Cancellation semantics match Reduce.
+// either way. Each worker's batch and fill scratch come from a per-width
+// pool and go back to it when the worker finishes, so a warm run allocates
+// neither. Cancellation semantics match Reduce.
 func ReduceBatch[V ugraph.Vec, L, A any](ctx context.Context, g *ugraph.Graph, opts Options,
 	newLocal func() L,
 	newAcc func() A,
@@ -151,10 +153,9 @@ func ReduceBatch[V ugraph.Vec, L, A any](ctx context.Context, g *ugraph.Graph, o
 	batches := (opts.Samples + width - 1) / width
 	size, blocks := blockDims(batches)
 	return runBlocks(ctx, blocks, opts.Workers, newAcc, merge,
-		func() (runBlock func(b int, acc A, cancelled func() bool) bool) {
+		func() (runBlock func(b int, acc A, cancelled func() bool) bool, release func()) {
 			local := newLocal()
-			wb := ugraph.NewWorldBatch[V](g)
-			filler := newBatchFiller[V](g, opts)
+			f := getBatchFiller[V](g, opts)
 			return func(b int, acc A, cancelled func() bool) bool {
 				lo := b * size
 				hi := lo + size
@@ -170,45 +171,69 @@ func ReduceBatch[V ugraph.Vec, L, A any](ctx context.Context, g *ugraph.Graph, o
 					if lanes > width {
 						lanes = width
 					}
-					filler.fill(wb, start, lanes)
-					visit(start, wb, local, acc)
+					f.fill(start, lanes)
+					visit(start, f.wb, local, acc)
 				}
 				return true
-			}
+			}, f.release
 		})
 }
 
-// batchFiller fills one worker's WorldBatch for a batch starting at a given
-// sample index: directly via SampleBatchSeeded, or — when a FillCache is
-// configured — by assembling cached 64-lane blocks (full, 64-aligned stream
-// blocks only; ragged or unaligned lane groups are sampled fresh into
-// worker-local scratch). Both paths are bit-identical.
+// batchFiller is one ReduceBatch worker's fill state: the batch it fills
+// and hands to visit, the lane seeds and the 64-lane block views of the
+// fill. It comes from a per-width pool and goes back when the worker
+// finishes, so a warm run allocates none of it. The batch is rebound to
+// each run's graph and unbound on release, which also drops the run's
+// options and cached blocks, so a pooled filler keeps no graph or cache
+// entry alive.
 type batchFiller[V ugraph.Vec] struct {
-	g       *ugraph.Graph
+	wb      *ugraph.WorldBatch[V]
 	opts    Options
 	seeds   [ugraph.MaxBatchLanes]int64
-	blocks  [][]uint64 // per-word block views for LoadBlocks
-	scratch [][]uint64 // lazily allocated non-cached fills, one per word
+	blocks  [ugraph.MaxBatchLanes / ugraph.BatchLanes][]uint64 // per-word block views for LoadBlocks
+	scratch [ugraph.MaxBatchLanes / ugraph.BatchLanes][]uint64 // per-word fills that bypass the cache
 }
 
-func newBatchFiller[V ugraph.Vec](g *ugraph.Graph, opts Options) *batchFiller[V] {
-	words := ugraph.VecLanes[V]() / ugraph.BatchLanes
-	f := &batchFiller[V]{g: g, opts: opts}
-	if opts.FillCache != nil && opts.FillID != "" {
-		f.blocks = make([][]uint64, words)
-		f.scratch = make([][]uint64, words)
+// fillers holds idle batch fillers, one pool per width, indexed by the
+// width's word count.
+var fillers [ugraph.MaxBatchLanes/ugraph.BatchLanes + 1]sync.Pool
+
+func fillerPool[V ugraph.Vec]() *sync.Pool {
+	return &fillers[ugraph.VecLanes[V]()/ugraph.BatchLanes]
+}
+
+func getBatchFiller[V ugraph.Vec](g *ugraph.Graph, opts Options) *batchFiller[V] {
+	f, _ := fillerPool[V]().Get().(*batchFiller[V])
+	if f == nil {
+		f = &batchFiller[V]{wb: new(ugraph.WorldBatch[V])}
 	}
+	f.wb.Rebind(g)
+	f.opts = opts
 	return f
 }
 
-func (f *batchFiller[V]) fill(wb *ugraph.WorldBatch[V], start, lanes int) {
-	if f.blocks == nil {
+func (f *batchFiller[V]) release() {
+	f.wb.Rebind(nil)
+	f.opts = Options{}
+	clear(f.blocks[:])
+	fillerPool[V]().Put(f)
+}
+
+// fill fills f.wb with the lanes starting at sample index start: directly
+// via SampleBatchSeeded, or — when a FillCache is configured — by
+// assembling cached 64-lane blocks (full, 64-aligned stream blocks only;
+// ragged or unaligned lane groups are sampled fresh into worker-local
+// scratch). Both paths are bit-identical.
+func (f *batchFiller[V]) fill(start, lanes int) {
+	g := f.wb.Graph()
+	if f.opts.FillCache == nil || f.opts.FillID == "" {
 		for l := 0; l < lanes; l++ {
 			f.seeds[l] = sampleSeed(f.opts.Seed, f.opts.Offset+start+l)
 		}
-		ugraph.SampleBatchSeeded(f.g, f.seeds[:lanes], wb)
+		ugraph.SampleBatchSeeded(g, f.seeds[:lanes], f.wb)
 		return
 	}
+	m := g.NumEdges()
 	base := f.opts.Offset + start
 	words := (lanes + ugraph.BatchLanes - 1) / ugraph.BatchLanes
 	for k := 0; k < words; k++ {
@@ -220,26 +245,27 @@ func (f *batchFiller[V]) fill(wb *ugraph.WorldBatch[V], start, lanes int) {
 		if bl == ugraph.BatchLanes && blo%ugraph.BatchLanes == 0 {
 			key := ugraph.FillKey{Graph: f.opts.FillID, Seed: f.opts.Seed, Block: blo / ugraph.BatchLanes}
 			f.blocks[k] = f.opts.FillCache.GetOrFill(key, func() []uint64 {
-				dst := make([]uint64, f.g.NumEdges())
+				dst := make([]uint64, m)
 				var bs [ugraph.BatchLanes]int64
 				for l := 0; l < ugraph.BatchLanes; l++ {
 					bs[l] = sampleSeed(f.opts.Seed, blo+l)
 				}
-				ugraph.FillBlock(f.g, bs[:], dst)
+				ugraph.FillBlock(g, bs[:], dst)
 				return dst
 			})
 			continue
 		}
-		if f.scratch[k] == nil {
-			f.scratch[k] = make([]uint64, f.g.NumEdges())
+		if cap(f.scratch[k]) < m {
+			f.scratch[k] = make([]uint64, m)
 		}
+		f.scratch[k] = f.scratch[k][:m]
 		for l := 0; l < bl; l++ {
 			f.seeds[l] = sampleSeed(f.opts.Seed, blo+l)
 		}
-		ugraph.FillBlock(f.g, f.seeds[:bl], f.scratch[k])
+		ugraph.FillBlock(g, f.seeds[:bl], f.scratch[k])
 		f.blocks[k] = f.scratch[k]
 	}
-	ugraph.LoadBlocks(wb, f.blocks[:words], lanes)
+	ugraph.LoadBlocks(f.wb, f.blocks[:words], lanes)
 }
 
 // runBlocks is the shared block engine behind Reduce and ReduceBatch:
@@ -247,11 +273,12 @@ func (f *batchFiller[V]) fill(wb *ugraph.WorldBatch[V], start, lanes int) {
 // per block via the per-worker runBlock closure (built once per goroutine by
 // newWorker, so worker-local scratch — World, WorldBatch, kernel workspaces
 // — is reused across blocks); completed blocks are folded strictly in block
-// index order. runBlock returns false to signal cancellation.
+// index order. runBlock returns false to signal cancellation. Each worker
+// calls its release once, after its last block.
 func runBlocks[A any](ctx context.Context, blocks, workers int,
 	newAcc func() A,
 	merge func(dst, src A),
-	newWorker func() func(b int, acc A, cancelled func() bool) bool,
+	newWorker func() (runBlock func(b int, acc A, cancelled func() bool) bool, release func()),
 ) (A, error) {
 	var zero A
 	if workers > blocks {
@@ -300,7 +327,8 @@ func runBlocks[A any](ctx context.Context, blocks, workers int,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run := newWorker()
+			run, release := newWorker()
+			defer release()
 			for !stopped.Load() {
 				b := int(next.Add(1)) - 1
 				if b >= blocks {

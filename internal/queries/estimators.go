@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"ugs/internal/mc"
 	"ugs/internal/ugraph"
@@ -279,32 +280,59 @@ func pairStatsAdaptive(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts 
 	return acc, info, nil
 }
 
-// pairKernels is one engine worker's traversal state for a routed batch
-// pass. The kernels share one arc table, so each batch fill is gathered
-// once whichever of them run; only the kernels the route needs exist.
-type pairKernels[V ugraph.Vec] struct {
-	ps  *PairSearch[V] // searched pairs
-	bfs *MaskBFS[V]    // source traversals, one source each (fan 1)
-	ms  *MSBFS[V]      // source traversals, fan sources each
+// kernels is one batch engine worker's traversal state. The kernels share
+// one arc table, so each batch fill is gathered once whichever of them run,
+// and a kernel a run does not use allocates nothing. Workers draw kernels
+// from a per-width pool and return them when the run ends, so a warm run
+// allocates no traversal state: each kernel re-sizes itself to the run's
+// graph, and the arc table is unbound on release, so pooled kernels keep no
+// graph or batch alive.
+type kernels[V ugraph.Vec] struct {
+	tab arcTable[V]
+	ps  PairSearch[V] // searched pairs
+	bfs MaskBFS[V]    // connectivity, and source traversals one source each (fan 1)
+	ms  MSBFS[V]      // source traversals, fan sources each
 }
 
-func newPairKernels[V ugraph.Vec](n int, r pairRoute, fan int) *pairKernels[V] {
-	tab := new(arcTable[V])
-	k := &pairKernels[V]{}
-	if len(r.searched) > 0 {
-		k.ps = NewPairSearch[V](n)
-		k.ps.arcTable = tab
-	}
-	switch {
-	case len(r.sources) == 0:
-	case fan > 1:
-		k.ms = NewMSBFS[V](n, fan)
-		k.ms.arcTable = tab
-	default:
-		k.bfs = NewMaskBFS[V](n)
-		k.bfs.arcTable = tab
-	}
-	return k
+// kernelPools holds idle kernels, one pool per width, indexed by the
+// width's word count.
+var kernelPools [ugraph.MaxBatchLanes/ugraph.BatchLanes + 1]sync.Pool
+
+func kernelPool[V ugraph.Vec]() *sync.Pool {
+	return &kernelPools[ugraph.VecLanes[V]()/ugraph.BatchLanes]
+}
+
+// reduceKernels is mc.ReduceBatch with each worker's kernels drawn from the
+// width's pool; they go back when the run returns, by which time every
+// worker has finished.
+func reduceKernels[V ugraph.Vec, A any](ctx context.Context, g *ugraph.Graph, opts mc.Options,
+	newAcc func() A,
+	visit func(start int, wb *ugraph.WorldBatch[V], k *kernels[V], acc A),
+	merge func(dst, src A),
+) (A, error) {
+	var (
+		mu   sync.Mutex
+		held []*kernels[V]
+	)
+	defer func() {
+		for _, k := range held {
+			k.tab.unbind()
+			kernelPool[V]().Put(k)
+		}
+	}()
+	return mc.ReduceBatch(ctx, g, opts,
+		func() *kernels[V] {
+			k, _ := kernelPool[V]().Get().(*kernels[V])
+			if k == nil {
+				k = new(kernels[V])
+				k.ps.arcTable, k.bfs.arcTable, k.ms.arcTable = &k.tab, &k.tab, &k.tab
+			}
+			mu.Lock()
+			held = append(held, k)
+			mu.Unlock()
+			return k
+		},
+		newAcc, visit, merge)
 }
 
 // pairStatsBatch runs one routed pass over lane-transposed world batches.
@@ -317,10 +345,9 @@ func newPairKernels[V ugraph.Vec](n int, r pairRoute, fan int) *pairKernels[V] {
 // reachability popcount and the exact integer depth sum at the target, so
 // per-pair results do not depend on the route, the fan-out or the width.
 func pairStatsBatch[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options, r pairRoute, fan int) ([]pairResult, error) {
-	return mc.ReduceBatch(ctx, g, opts,
-		func() *pairKernels[V] { return newPairKernels[V](g.NumVertices(), r, fan) },
+	return reduceKernels(ctx, g, opts,
 		func() []pairResult { return make([]pairResult, len(pairs)) },
-		func(_ int, wb *ugraph.WorldBatch[V], k *pairKernels[V], acc []pairResult) {
+		func(_ int, wb *ugraph.WorldBatch[V], k *kernels[V], acc []pairResult) {
 			lanes := wb.Lanes()
 			add := func(i int, reach V, depthSum int64) {
 				acc[i].samples += lanes
@@ -331,7 +358,7 @@ func pairStatsBatch[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, pairs []
 				reach, depthSum := k.ps.Search(wb, pairs[i].S, pairs[i].T)
 				add(i, reach, depthSum)
 			}
-			if k.bfs != nil {
+			if fan == 1 {
 				for _, s := range r.sources {
 					reach := k.bfs.ReachFrom(wb, s)
 					depthSum := k.bfs.DepthSums()
@@ -340,8 +367,9 @@ func pairStatsBatch[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, pairs []
 						add(i, reach[t], depthSum[t])
 					}
 				}
+				return
 			}
-			for base := 0; k.ms != nil && base < len(r.sources); base += fan {
+			for base := 0; base < len(r.sources); base += fan {
 				grp := r.sources[base:min(base+fan, len(r.sources))]
 				k.ms.ReachFrom(wb, grp)
 				for slot, s := range grp {
@@ -421,8 +449,9 @@ func mergeHitStats(dst, src *hitStats) {
 }
 
 // ConnectedProbability estimates Pr[G is connected] — the introductory
-// example query of the paper (Figure 1). One mask-BFS plus an AND-sweep
-// checks a full lane vector of sampled worlds per traversal; the scalar
+// example query of the paper (Figure 1). Per lane vector of sampled worlds,
+// a screen for vertices with no present edge settles most lanes, and one
+// mask-BFS plus an AND-sweep the rest (MaskBFS.ConnectedLanes); the scalar
 // ablation walks one world per BFS instead. Hit counts are integers, so
 // every path, width and Workers value agrees bit-identically.
 func ConnectedProbability(ctx context.Context, g *ugraph.Graph, opts mc.Options) (float64, error) {
@@ -469,12 +498,11 @@ func connectedFixed(ctx context.Context, g *ugraph.Graph, opts mc.Options) (*hit
 }
 
 func connectedBatch[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, opts mc.Options) (*hitStats, error) {
-	return mc.ReduceBatch(ctx, g, opts,
-		func() *MaskBFS[V] { return NewMaskBFS[V](g.NumVertices()) },
+	return reduceKernels(ctx, g, opts,
 		func() *hitStats { return &hitStats{} },
-		func(_ int, wb *ugraph.WorldBatch[V], bfs *MaskBFS[V], acc *hitStats) {
+		func(_ int, wb *ugraph.WorldBatch[V], k *kernels[V], acc *hitStats) {
 			acc.n += wb.Lanes()
-			acc.hits += ugraph.VecOnesCount(bfs.ConnectedLanes(wb))
+			acc.hits += ugraph.VecOnesCount(k.bfs.ConnectedLanes(wb))
 		},
 		mergeHitStats,
 	)

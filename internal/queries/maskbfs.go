@@ -53,19 +53,37 @@ type arcTable[V ugraph.Vec] struct {
 	boundSeq uint64
 }
 
-// NewMaskBFS returns a mask-BFS sized for graphs with n vertices. The
-// per-arc tables are sized on first use.
+// NewMaskBFS returns a mask-BFS sized for graphs with n vertices (each
+// traversal re-sizes it to its batch's graph). The per-arc tables are sized
+// on first use.
 func NewMaskBFS[V ugraph.Vec](n int) *MaskBFS[V] {
-	return &MaskBFS[V]{
-		reach:    make([]V, n),
-		cur:      make([]V, n),
-		next:     make([]V, n),
-		depthSum: make([]int64, n),
-		curQ:     make([]int32, 0, n),
-		nextQ:    make([]int32, 0, n),
-		arcTable: new(arcTable[V]),
-	}
+	b := &MaskBFS[V]{arcTable: new(arcTable[V])}
+	b.size(n)
+	return b
 }
+
+// size fits the per-vertex state to a graph of n vertices, reusing its
+// storage when that is large enough. The level loops and ConnectedLanes
+// range over these slices, so they must hold exactly n entries: padding
+// left from a larger graph would be swept as vertices, and would AND
+// zeros into ConnectedLanes. Entries past n keep the between-calls
+// invariant (cur and next all zero), so growing back within capacity
+// exposes only zeros there.
+func (b *MaskBFS[V]) size(n int) {
+	if cap(b.reach) < n {
+		b.reach = make([]V, n)
+		b.cur = make([]V, n)
+		b.next = make([]V, n)
+		b.depthSum = make([]int64, n)
+		b.curQ = make([]int32, 0, n)
+		b.nextQ = make([]int32, 0, n)
+	}
+	b.reach, b.cur, b.next, b.depthSum = b.reach[:n], b.cur[:n], b.next[:n], b.depthSum[:n]
+}
+
+// unbind forgets the bound graph and batch, so a table kept for reuse
+// keeps neither alive; the next bind gathers afresh.
+func (b *arcTable[V]) unbind() { b.boundG, b.boundWB, b.boundSeq = nil, nil, 0 }
 
 // bind refreshes the per-arc gather table for wb's current fill (no-op
 // when already bound to this graph, batch and fill sequence).
@@ -101,7 +119,13 @@ func (b *arcTable[V]) bind(wb *ugraph.WorldBatch[V]) {
 // world l. Unreached lanes contribute nothing (reachability masks record
 // which lanes count).
 func (b *MaskBFS[V]) ReachFrom(wb *ugraph.WorldBatch[V], src int) []V {
-	off := b.start(wb, src)
+	return b.reachFrom(wb, src, wb.ActiveMask())
+}
+
+// reachFrom is ReachFrom seeded in the given lanes only (a subset of the
+// active lanes); the other lanes stay unreached everywhere.
+func (b *MaskBFS[V]) reachFrom(wb *ugraph.WorldBatch[V], src int, lanes V) []V {
+	off := b.seed(wb, src, lanes)
 	// The compiler only keeps arrays of length ≤ 1 in registers, so the
 	// generic level loop would bounce each multi-word vector through memory
 	// three times per arc (and even the one-word width pays for per-arc
@@ -124,6 +148,12 @@ func (b *MaskBFS[V]) ReachFrom(wb *ugraph.WorldBatch[V], src int) []V {
 // src seeded in every active lane, the frontier queue holding src. It
 // returns the CSR arc offsets the level loops index arcs with.
 func (b *MaskBFS[V]) start(wb *ugraph.WorldBatch[V], src int) []int32 {
+	return b.seed(wb, src, wb.ActiveMask())
+}
+
+// seed is start with src seeded in the given lanes only.
+func (b *MaskBFS[V]) seed(wb *ugraph.WorldBatch[V], src int, lanes V) []int32 {
+	b.size(wb.Graph().NumVertices())
 	b.bind(wb)
 	reach := b.reach
 	var zero V
@@ -133,9 +163,8 @@ func (b *MaskBFS[V]) start(wb *ugraph.WorldBatch[V], src int) []int32 {
 	}
 	// Invariant between calls: cur and next are all zero (every entry set
 	// during a level is cleared when the level is consumed).
-	active := wb.ActiveMask()
-	reach[src] = active
-	b.cur[src] = active
+	reach[src] = lanes
+	b.cur[src] = lanes
 	b.curQ = append(b.curQ[:0], int32(src))
 	b.nextQ = b.nextQ[:0]
 	return wb.Graph().ArcOffsets()
@@ -220,14 +249,46 @@ func (b *MaskBFS[V]) DepthSums() []int64 { return b.depthSum }
 
 // ConnectedLanes reports the mask of lanes whose world connects all
 // vertices of the underlying graph — the wide-world generalization of
-// BFS.Connected, computed by one traversal from vertex 0 and an AND-sweep
-// over the reachability masks.
+// BFS.Connected.
+//
+// It screens the lanes before any traversal: one pass over the edge list
+// ORs each edge's lane mask into both endpoints, and ANDing the per-vertex
+// masks leaves the lanes in which every vertex has a present edge. A lane
+// in which some vertex has none is disconnected (there are at least two
+// vertices), so the screen is exact. On a sparse uncertain graph some
+// vertex is stranded in nearly every world, and a batch with no surviving
+// lane answers 0 with no arc gather and no traversal. Otherwise one
+// traversal from vertex 0, seeded in the surviving lanes only, and an
+// AND-sweep over its reachability masks settle the rest.
 func (b *MaskBFS[V]) ConnectedLanes(wb *ugraph.WorldBatch[V]) V {
-	if wb.Graph().NumVertices() <= 1 {
+	g := wb.Graph()
+	n := g.NumVertices()
+	if n <= 1 {
 		return wb.ActiveMask()
 	}
+	b.size(n)
+	// next is all zero between calls, so it accumulates the per-vertex
+	// masks without a clearing pass, and the AND-sweep zeroes it again.
+	// The edge pass is width-specialized (maskbfs_wide.go) for the reason
+	// the level loops are: the generic vector helpers would bounce every
+	// mask through memory.
+	masks := wb.EdgeMasks()
+	switch inc := any(b.next).(type) {
+	case []ugraph.Vec64:
+		orEndpoints64(g.Edges(), any(masks).([]ugraph.Vec64), inc)
+	case []ugraph.Vec256:
+		orEndpoints256(g.Edges(), any(masks).([]ugraph.Vec256), inc)
+	}
+	var zero V
 	lanes := wb.ActiveMask()
-	for _, r := range b.ReachFrom(wb, 0) {
+	for v, m := range b.next {
+		lanes = ugraph.VecAnd(lanes, m)
+		b.next[v] = zero
+	}
+	if ugraph.VecIsZero(lanes) {
+		return lanes
+	}
+	for _, r := range b.reachFrom(wb, 0, lanes) {
 		lanes = ugraph.VecAnd(lanes, r)
 		if ugraph.VecIsZero(lanes) {
 			break

@@ -64,3 +64,30 @@ func BenchmarkWorldBatchFill(b *testing.B) {
 	b.Run("lanes=64", func(b *testing.B) { benchFill[ugraph.Vec64](b, g) })
 	b.Run("lanes=256", func(b *testing.B) { benchFill[ugraph.Vec256](b, g) })
 }
+
+// benchConnectedLanes times ConnectedLanes on one full-width batch of the
+// s10k graph, where some vertex is stranded in every lane, so the screen
+// answers without a traversal.
+func benchConnectedLanes[V ugraph.Vec](b *testing.B, g *ugraph.Graph) {
+	wb := ugraph.NewWorldBatch[V](g)
+	seeds := make([]int64, ugraph.VecLanes[V]())
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	ugraph.SampleBatchSeeded(g, seeds, wb)
+	mb := NewMaskBFS[V](g.NumVertices())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mb.ConnectedLanes(wb)
+	}
+}
+
+func BenchmarkConnectedLanes(b *testing.B) {
+	g, err := socialGraph(1000)()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("lanes=64", func(b *testing.B) { benchConnectedLanes[ugraph.Vec64](b, g) })
+	b.Run("lanes=256", func(b *testing.B) { benchConnectedLanes[ugraph.Vec256](b, g) })
+}

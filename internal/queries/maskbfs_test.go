@@ -3,6 +3,7 @@ package queries
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ugs/internal/mc"
@@ -74,37 +75,157 @@ func TestMaskBFSMatchesScalarBFSPerLane(t *testing.T) {
 	}
 }
 
-func checkConnectedLanes[V ugraph.Vec](t *testing.T, rng *rand.Rand, trial int) {
+// Outcomes of ConnectedLanes' stranded-vertex screen on one batch.
+const (
+	allStranded  = iota // every active lane has a vertex with no present edge
+	someStranded        // some lanes do, and the traversal settles the rest
+	noneStranded        // no lane does: the traversal settles every lane
+)
+
+// connectivityGraph draws one of the graph shapes that drive the screen
+// through each of its outcomes.
+func connectivityGraph(rng *rand.Rand, shape int) *ugraph.Graph {
+	addEdge := func(b *ugraph.Builder, u, v int, p float64) {
+		if err := b.AddEdge(u, v, p); err != nil {
+			panic(err)
+		}
+	}
+	switch shape % 6 {
+	case 0: // sparse, mixed probabilities
+		return randomQueryGraph(rng, 5+rng.Intn(20), 0.3)
+	case 1: // two likely cliques joined by an unlikely bridge
+		k := 3 + rng.Intn(3)
+		b := ugraph.NewBuilder(2 * k)
+		for c := 0; c < 2; c++ {
+			for u := 0; u < k; u++ {
+				for v := u + 1; v < k; v++ {
+					addEdge(b, c*k+u, c*k+v, 0.7+0.3*rng.Float64())
+				}
+			}
+		}
+		addEdge(b, 0, k, 0.3)
+		return b.Graph()
+	case 2: // a complete graph at p = 1
+		n := 2 + rng.Intn(7)
+		b := ugraph.NewBuilder(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				addEdge(b, u, v, 1)
+			}
+		}
+		return b.Graph()
+	case 3: // a degree-0 vertex
+		n := 3 + rng.Intn(10)
+		b := ugraph.NewBuilder(n)
+		for u := 0; u < n-1; u++ {
+			for v := u + 1; v < n-1; v++ {
+				addEdge(b, u, v, 0.5+0.5*rng.Float64())
+			}
+		}
+		return b.Graph()
+	case 4: // one vertex
+		return ugraph.NewBuilder(1).Graph()
+	default: // two vertices, one edge
+		b := ugraph.NewBuilder(2)
+		addEdge(b, 0, 1, rng.Float64())
+		return b.Graph()
+	}
+}
+
+// checkConnectedLanes compares ConnectedLanes with a scalar BFS.Connected
+// on every extracted lane and reports which outcome of the screen the
+// batch took. One MaskBFS serves every call, so it also re-sizes across
+// graphs of different vertex counts.
+func checkConnectedLanes[V ugraph.Vec](t *testing.T, mb *MaskBFS[V], g *ugraph.Graph, lanes int, seed int64) int {
 	t.Helper()
-	g := randomQueryGraph(rng, 5+rng.Intn(20), 0.3)
-	lanes := 1 + rng.Intn(ugraph.VecLanes[V]())
 	seeds := make([]int64, lanes)
 	for l := range seeds {
-		seeds[l] = rng.Int63()
+		seeds[l] = seed + int64(l)*0x9e3779b9
 	}
 	wb := ugraph.NewWorldBatch[V](g)
 	ugraph.SampleBatchSeeded(g, seeds, wb)
-	got := NewMaskBFS[V](g.NumVertices()).ConnectedLanes(wb)
+	got := mb.ConnectedLanes(wb)
 	bfs := NewBFS(g.NumVertices())
 	w := ugraph.NewWorld(g)
 	var want V
+	stranded := 0
 	for l := 0; l < lanes; l++ {
 		wb.ExtractLane(l, w)
 		if bfs.Connected(w) {
 			want = ugraph.VecSetBit(want, l)
 		}
+		deg := make([]int, g.NumVertices())
+		w.ForEachPresent(func(id int) {
+			e := g.Edge(id)
+			deg[e.U]++
+			deg[e.V]++
+		})
+		if g.NumVertices() > 1 && slices.Contains(deg, 0) {
+			stranded++
+		}
 	}
 	if got != want {
-		t.Fatalf("trial %d: ConnectedLanes %v != scalar %v", trial, got, want)
+		t.Fatalf("n=%d m=%d lanes=%d: ConnectedLanes %v != scalar %v", g.NumVertices(), g.NumEdges(), lanes, got, want)
+	}
+	switch stranded {
+	case lanes:
+		return allStranded
+	case 0:
+		return noneStranded
+	}
+	return someStranded
+}
+
+// TestMaskBFSConnectedLanesMatchesScalar pins ConnectedLanes to the scalar
+// BFS.Connected per lane at both widths, over graphs that reach every
+// outcome of the stranded-vertex screen (every lane stranded; some, with
+// the traversal settling the rest; none), a degree-0 vertex, one and two
+// vertices, and ragged lane counts, including whole inactive words at 256
+// lanes. It fails if some outcome never occurred.
+func TestMaskBFSConnectedLanesMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var outcomes [2][3]int
+	mb64, mb256 := NewMaskBFS[ugraph.Vec64](1), NewMaskBFS[ugraph.Vec256](1)
+	for trial := 0; trial < 72; trial++ {
+		g := connectivityGraph(rng, trial)
+		seed := rng.Int63()
+		outcomes[0][checkConnectedLanes(t, mb64, g, 1+rng.Intn(ugraph.BatchLanes), seed)]++
+		outcomes[1][checkConnectedLanes(t, mb256, g, []int{1, 63, 64, 65, 130, 192, 200, 256}[trial%8], seed)]++
+	}
+	t.Logf("outcomes (all, some, none stranded): 64 lanes %v, 256 lanes %v", outcomes[0], outcomes[1])
+	for w, width := range []string{"64", "256"} {
+		for o, name := range []string{"every lane stranded", "some lanes stranded", "no lane stranded"} {
+			if outcomes[w][o] == 0 {
+				t.Errorf("%s lanes: no batch with %s (outcomes %v)", width, name, outcomes[w])
+			}
+		}
 	}
 }
 
-func TestMaskBFSConnectedLanesMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 8; trial++ {
-		checkConnectedLanes[ugraph.Vec64](t, rng, trial)
-		checkConnectedLanes[ugraph.Vec256](t, rng, trial)
-	}
+// FuzzConnectedLanes checks ConnectedLanes against a per-lane scalar
+// BFS.Connected on random small graphs with raw edge probabilities and
+// random lane counts, at both widths.
+func FuzzConnectedLanes(f *testing.F) {
+	// Edge records: u, v and the two high bytes of a float64 probability.
+	f.Add(uint8(6), uint16(64), []byte{0, 1, 0x3f, 0xe0, 1, 2, 0x3f, 0xf0, 2, 3, 0x3f, 0xd0, 3, 4, 0x3f, 0xf0, 4, 5, 0x3f, 0xe8})
+	f.Add(uint8(1), uint16(1), []byte{0, 1, 0x3f, 0xf0})
+	f.Add(uint8(3), uint16(200), []byte{0, 1, 0x3f, 0xf0, 1, 2, 0x3f, 0xf0, 0, 2, 0x3f, 0xe0})
+	f.Fuzz(func(t *testing.T, nv uint8, lanes uint16, data []byte) {
+		n := 1 + int(nv)%48
+		b := ugraph.NewBuilder(n)
+		for i := 0; i+4 <= len(data); i += 4 {
+			u, v := int(data[i])%n, int(data[i+1])%n
+			p := math.Float64frombits(uint64(data[i+2])<<56 | uint64(data[i+3])<<48)
+			if p > 1 {
+				p = 1
+			}
+			_ = b.AddEdge(u, v, p) // self-loops, repeats and p ∉ (0, 1] are rejected: skip them
+		}
+		g := b.Graph()
+		l := 1 + int(lanes)%ugraph.MaxBatchLanes
+		checkConnectedLanes(t, NewMaskBFS[ugraph.Vec64](n), g, 1+(l-1)%ugraph.BatchLanes, 1)
+		checkConnectedLanes(t, NewMaskBFS[ugraph.Vec256](n), g, l, 1)
+	})
 }
 
 func checkMaskBFSAllocs[V ugraph.Vec](t *testing.T, rng *rand.Rand, width string) {

@@ -165,3 +165,34 @@ func runLevels256(b *MaskBFS[ugraph.Vec256], off []int32) {
 	}
 	b.curQ, b.nextQ = curQ[:0], nextQ[:0]
 }
+
+// orEndpoints64 and orEndpoints256 are ConnectedLanes' screening pass: each
+// edge's lane mask is ORed into both endpoints' entries of inc, so entry v
+// ends up holding the lanes in which v has a present edge.
+func orEndpoints64(edges []ugraph.Edge, masks, inc []ugraph.Vec64) {
+	masks = masks[:len(edges)]
+	for e := range edges {
+		ed := &edges[e]
+		m := masks[e][0]
+		inc[ed.U][0] |= m
+		inc[ed.V][0] |= m
+	}
+}
+
+func orEndpoints256(edges []ugraph.Edge, masks, inc []ugraph.Vec256) {
+	masks = masks[:len(edges)]
+	for e := range edges {
+		ed := &edges[e]
+		m := &masks[e]
+		m0, m1, m2, m3 := m[0], m[1], m[2], m[3]
+		u, v := &inc[ed.U], &inc[ed.V]
+		u[0] |= m0
+		u[1] |= m1
+		u[2] |= m2
+		u[3] |= m3
+		v[0] |= m0
+		v[1] |= m1
+		v[2] |= m2
+		v[3] |= m3
+	}
+}

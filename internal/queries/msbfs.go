@@ -43,8 +43,8 @@ type MSBFS[V ugraph.Vec] struct {
 }
 
 // NewMSBFS returns a multi-source mask-BFS for graphs with n vertices,
-// pre-sized for source groups of up to fan sources (larger groups grow the
-// buffers on first use).
+// pre-sized for source groups of up to fan sources (larger graphs and
+// groups grow the buffers on first use).
 func NewMSBFS[V ugraph.Vec](n, fan int) *MSBFS[V] {
 	if fan < 1 {
 		fan = 1
@@ -97,13 +97,14 @@ func (b *MSBFS[V]) Reach(v, k int) V { return b.rn[v*2*b.group+k] }
 // MaskBFS.DepthSums.
 func (b *MSBFS[V]) DepthSum(v, k int) int64 { return b.depthSum[v*b.group+k] }
 
-// start binds wb, sizes the per-vertex records for len(srcs) slots and
-// resets them: reach/next/depthSum cleared, each source seeded with the
-// active mask in its own slot, the frontier queue holding each distinct
-// source once. It returns the CSR arc offsets the level loops index arcs
-// with.
+// start binds wb, sizes the per-vertex records for wb's graph and
+// len(srcs) slots and resets them: reach/next/depthSum cleared, each source
+// seeded with the active mask in its own slot, the frontier queue holding
+// each distinct source once. It returns the CSR arc offsets the level loops
+// index arcs with.
 func (b *MSBFS[V]) start(wb *ugraph.WorldBatch[V], srcs []int) []int32 {
 	b.bind(wb)
+	b.n = wb.Graph().NumVertices()
 	s := len(srcs)
 	b.group = s
 	if need := b.n * s; len(b.cur) < need {

@@ -117,7 +117,10 @@ func TestAdaptiveRoundsPlannedPerRound(t *testing.T) {
 // TestPlannedQueryReleasesGraph: an auto-planned query must not keep its
 // graph reachable once the caller drops it. A long-running server hands the
 // engine every patched generation, reload, upload and sparsified result; if
-// planning cached anything per graph, none of them could be collected.
+// planning cached anything per graph, or a pooled world batch, arc table or
+// fill option still pointed at it, none of them could be collected. The
+// pools keep their items through one collection, so the graph must go in
+// the first one.
 func TestPlannedQueryReleasesGraph(t *testing.T) {
 	collected := make(chan struct{})
 	func() {
@@ -128,14 +131,18 @@ func TestPlannedQueryReleasesGraph(t *testing.T) {
 		if _, err := Reliability(bg(), g, pairs, mc.Options{Samples: 512, Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
-	}()
-	for i := 0; i < 10; i++ {
-		runtime.GC()
-		select {
-		case <-collected:
-			return
-		case <-time.After(20 * time.Millisecond):
+		if _, err := ConnectedProbability(bg(), g, mc.Options{Samples: 512, Seed: 1}); err != nil {
+			t.Fatal(err)
 		}
+		cached := mc.Options{Samples: 512, Seed: 1, FillCache: newBlockCache(), FillID: "g@1"}
+		if _, err := Reliability(bg(), g, pairs, cached); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(2 * time.Second):
+		t.Fatal("graph still reachable after auto-planned queries")
 	}
-	t.Fatal("graph still reachable after an auto-planned Reliability query")
 }

@@ -39,6 +39,25 @@ func NewWorldBatch[V Vec](g *Graph) *WorldBatch[V] {
 	return &WorldBatch[V]{g: g, masks: make([]V, g.NumEdges())}
 }
 
+// Rebind points the batch at g, reusing its mask storage when that holds
+// g's edges, and leaves it empty with no active lanes, as NewWorldBatch
+// would; a nil g unbinds it, so a batch kept for reuse keeps no graph
+// alive. The fill sequence keeps rising across rebinds, so a table keyed on
+// (batch, FillSeq) for an earlier graph never matches a later fill.
+func (b *WorldBatch[V]) Rebind(g *Graph) {
+	m := 0
+	if g != nil {
+		m = g.NumEdges()
+	}
+	if cap(b.masks) < m {
+		b.masks = make([]V, m)
+	}
+	b.masks = b.masks[:m]
+	clear(b.masks)
+	b.g, b.lanes = g, 0
+	b.seq++
+}
+
 // Graph returns the uncertain graph this batch was drawn from.
 func (b *WorldBatch[V]) Graph() *Graph { return b.g }
 
