@@ -261,6 +261,38 @@ func BenchmarkEMDRound(b *testing.B) {
 	}
 }
 
+// BenchmarkSparsifyS10k times each sparsify call of the benchmark of
+// record's sparsify_repair round on the same graph (bench/'s s10k: 1,000
+// vertices, 9,856 edges) at α = 0.3 and seed 1, resolved through
+// ugs.Lookup. It reports EMD's E+M rounds and NI's calibration runs.
+func BenchmarkSparsifyS10k(b *testing.B) {
+	g := benchScaledGraph(b, 10_000)
+	for _, method := range []string{"gdb", "emd", "ni", "ss"} {
+		b.Run(method, func(b *testing.B) {
+			sp, err := ugs.Lookup(method, ugs.WithSeed(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var st ugs.RunStats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := sp.Sparsify(context.Background(), g, 0.3)
+				if err != nil {
+					b.Fatal(err)
+				}
+				st = res.Stats
+			}
+			switch method {
+			case "emd":
+				b.ReportMetric(float64(st.Iterations), "rounds/op")
+			case "ni":
+				b.ReportMetric(float64(st.Iterations), "calibrations/op")
+			}
+		})
+	}
+}
+
 func BenchmarkSparsifyEMD(b *testing.B) {
 	g := benchGraph(b)
 	for i := 0; i < b.N; i++ {

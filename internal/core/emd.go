@@ -16,8 +16,9 @@ import (
 type EMDOptions struct {
 	// Discrepancy selects the δA or δR objective. Default Absolute.
 	Discrepancy Discrepancy
-	// H is the entropy parameter shared with the inner GDB (see
-	// GDBOptions.H). Default 0.05.
+	// H is the entropy parameter of the M-phase's GDB sweeps (see
+	// GDBOptions.H). Default 0.05. The E-phase does not apply it: an edge
+	// swapped in enters at its Equation (9) optimum.
 	H float64
 	// Tau is the convergence threshold on the improvement of D1 between
 	// EM rounds. Default 1e-9·|V|.
@@ -78,10 +79,12 @@ func EMD(ctx context.Context, g *ugraph.Graph, backbone []int, opts EMDOptions) 
 // id list, both mutated in place. Split out of EMD so the dynamic sparsifier
 // can run it and keep the tracker (and the final backbone) for later repairs.
 // opts must already have defaults applied.
+//
+// Each round's M-phase continues from the probabilities the round found:
+// the edges the E-phase kept carry the last M-phase's values, and the edges
+// it swapped in their Equation (9) optimum. The rounds therefore descend on
+// D1 until the Tau test stops them.
 func emdRun(ctx context.Context, t *tracker, bb *[]int, opts EMDOptions) (*RunStats, error) {
-	g := t.g
-	h := effectiveH(opts.H)
-
 	mOpts := GDBOptions{
 		Discrepancy: opts.Discrepancy,
 		K:           1,
@@ -89,7 +92,7 @@ func emdRun(ctx context.Context, t *tracker, bb *[]int, opts EMDOptions) (*RunSt
 		Tau:         opts.Tau,
 		MaxIters:    opts.MPhaseIters,
 	}
-	mOpts.defaults(g.NumVertices())
+	mOpts.defaults(t.n)
 
 	var st *ePhaseState
 	if !opts.NaiveEPhase {
@@ -102,15 +105,9 @@ func emdRun(ctx context.Context, t *tracker, bb *[]int, opts EMDOptions) (*RunSt
 			return nil, err
 		}
 		if opts.NaiveEPhase {
-			stats.Swaps += ePhaseNaive(t, bb, opts.Discrepancy, h)
+			stats.Swaps += ePhaseNaive(t, bb, opts.Discrepancy)
 		} else {
-			stats.Swaps += ePhase(t, bb, opts.Discrepancy, h, st)
-		}
-		// M-phase re-optimizes from the original probabilities of the new
-		// backbone, exactly as GDB(G, G'_b, h) would (Algorithm 2, lines
-		// 1–3).
-		for _, id := range *bb {
-			t.setProb(id, g.Prob(id))
+			stats.Swaps += ePhase(t, bb, opts.Discrepancy, st)
 		}
 		mStats, err := gdbSweeps(ctx, t, *bb, mOpts)
 		if err != nil {
@@ -164,10 +161,10 @@ func (st *ePhaseState) resync(t *tracker, dt Discrepancy) {
 
 // ePhase is the E-phase of Algorithm 3 (lines 6–20): for every backbone
 // edge, tentatively remove it, and re-insert either it or the best-gain edge
-// incident to the vertex of maximum |δ| (the top of the heap Hv). It updates
-// the tracker and the backbone id list in place and reports the number of
-// actual swaps.
-func ePhase(t *tracker, bb *[]int, dt Discrepancy, h float64, st *ePhaseState) int {
+// incident to the vertex of maximum |δ| (the top of the heap Hv), at the
+// probability candidate scored it with. It updates the tracker and the
+// backbone id list in place and reports the number of actual swaps.
+func ePhase(t *tracker, bb *[]int, dt Discrepancy, st *ePhaseState) int {
 	g := t.g
 	st.resync(t, dt)
 	hv := st.hv
@@ -189,12 +186,12 @@ func ePhase(t *tracker, bb *[]int, dt Discrepancy, h float64, st *ePhaseState) i
 		vH, _ := hv.Top()
 
 		bestID := id
-		bestP, bestGain := t.candidate(id, dt, h)
+		bestP, bestGain := t.candidate(id, dt)
 		for _, a := range g.Neighbors(vH) {
 			if t.inBackbone[a.ID] || a.ID == id {
 				continue
 			}
-			p, gain := t.candidate(a.ID, dt, h)
+			p, gain := t.candidate(a.ID, dt)
 			if gain > bestGain {
 				bestID, bestP, bestGain = a.ID, p, gain
 			}
@@ -223,7 +220,7 @@ func ePhase(t *tracker, bb *[]int, dt Discrepancy, h float64, st *ePhaseState) i
 // ePhaseNaive is the E-phase without the vertex heap: every non-backbone
 // edge competes for each slot, taking the globally maximal gain. Quadratic
 // in the edge count; benchmark ablation only.
-func ePhaseNaive(t *tracker, bb *[]int, dt Discrepancy, h float64) int {
+func ePhaseNaive(t *tracker, bb *[]int, dt Discrepancy) int {
 	g := t.g
 	swaps := 0
 	snapshot := append([]int(nil), *bb...)
@@ -235,12 +232,12 @@ func ePhaseNaive(t *tracker, bb *[]int, dt Discrepancy, h float64) int {
 		t.inBackbone[id] = false
 
 		bestID := id
-		bestP, bestGain := t.candidate(id, dt, h)
+		bestP, bestGain := t.candidate(id, dt)
 		for cand := 0; cand < g.NumEdges(); cand++ {
 			if t.inBackbone[cand] || cand == id {
 				continue
 			}
-			p, gain := t.candidate(cand, dt, h)
+			p, gain := t.candidate(cand, dt)
 			if gain > bestGain {
 				bestID, bestP, bestGain = cand, p, gain
 			}
@@ -262,23 +259,23 @@ func ePhaseNaive(t *tracker, bb *[]int, dt Discrepancy, h float64) int {
 }
 
 // candidate evaluates an absent edge (current probability 0) as an insertion
-// candidate: its best probability under the Equation (9) rule and the
+// candidate: its Equation (9) optimum from p̂ = 0, clamped to [0, 1], and the
 // resulting gain of Equation (10),
 //
 //	g(e) = δ̂²(u0)|₀ − δ̂²(u0)|_p + δ̂²(v0)|₀ − δ̂²(v0)|_p.
-func (t *tracker) candidate(id int, dt Discrepancy, h float64) (p, gain float64) {
+//
+// No entropy cap applies: from p̂ = 0 any probability strictly between 0 and
+// 1 raises the edge's entropy, so a cap would score, and insert, every
+// candidate at a fraction of its optimum.
+func (t *tracker) candidate(id int, dt Discrepancy) (p, gain float64) {
 	u, v := int(t.eu[id]), int(t.ev[id])
 	pu, pv := t.pi(u, dt), t.pi(v, dt)
-	stp := (pv*t.deltaA(u) + pu*t.deltaA(v)) / (pu + pv)
-	p = stp // from p̂ = 0
+	p = (pv*t.deltaA(u) + pu*t.deltaA(v)) / (pu + pv)
 	switch {
 	case p < 0:
 		p = 0
 	case p > 1:
 		p = 1
-	case ugraph.EntropyGreater(p, 0):
-		// H(0) = 0, so any positive probability raises entropy: cap.
-		p = h * stp
 	}
 	du0, dv0 := t.delta(u, dt), t.delta(v, dt)
 	duP := (t.deltaA(u) - p) / pu

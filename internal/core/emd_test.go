@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ugs/internal/gen"
 	"ugs/internal/ugraph"
 )
 
@@ -123,9 +124,10 @@ func TestEMDGenerallyBeatsGDBOnDegreeMAE(t *testing.T) {
 }
 
 func TestEMDNaiveEPhaseAlsoImproves(t *testing.T) {
-	// The naive (global-scan) E-phase must match or beat the heap-guided
-	// one on objective quality — it considers strictly more candidates —
-	// while both satisfy the structural invariants.
+	// The naive (global-scan) E-phase offers every slot every candidate,
+	// but each slot's choice is still greedy, so it need not end below the
+	// heap-guided E-phase: over 20 seeds of this set-up it ended above it
+	// in 2. Both must keep the edge count and must not degrade D1.
 	rng := rand.New(rand.NewSource(77))
 	g := randomConnectedGraph(rng, 30, 0.3)
 	backbone, err := SpanningBackbone(g, 0.35, BGIOptions{}, rng)
@@ -176,5 +178,41 @@ func TestEMDRejectsNothing(t *testing.T) {
 	}
 	if stats.ObjectiveD1 > before {
 		t.Errorf("EMD degraded D1: %v -> %v", before, stats.ObjectiveD1)
+	}
+}
+
+func TestEMDStopsByTau(t *testing.T) {
+	// Each M-phase starts from the probabilities the last round left and
+	// each E-phase inserts its candidate at the Eq. (9) optimum, so rounds
+	// improve D1 until it settles and the Tau test ends the run early. The
+	// graph is the benchmark's s10k fixture.
+	g, err := gen.Social(gen.SocialConfig{N: 1000, AvgDegree: 20, MeanProb: 0.09, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backbone, err := BuildBackbone(g, 0.3, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dt := range []Discrepancy{Absolute, Relative} {
+		_, gdbStats, err := GDB(context.Background(), g, backbone, GDBOptions{Discrepancy: dt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := EMDOptions{Discrepancy: dt}
+		_, emdStats, err := EMD(context.Background(), g, backbone, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.defaults(g.NumVertices())
+		t.Logf("%v: EMD D1 %.3g after %d rounds (%d swaps); GDB D1 %.3g",
+			dt, emdStats.ObjectiveD1, emdStats.Iterations, emdStats.Swaps, gdbStats.ObjectiveD1)
+		if emdStats.Iterations >= opts.MaxRounds {
+			t.Errorf("%v: EMD ran all %d rounds; the Tau test never fired", dt, emdStats.Iterations)
+		}
+		if emdStats.ObjectiveD1 >= gdbStats.ObjectiveD1 {
+			t.Errorf("%v: EMD D1 %v not below GDB D1 %v on the same backbone",
+				dt, emdStats.ObjectiveD1, gdbStats.ObjectiveD1)
+		}
 	}
 }

@@ -129,9 +129,9 @@ func TestFigure3EMDFirstSwapSelectsU1U2(t *testing.T) {
 	}
 
 	// u1's candidates: the removed (u1,u4)=id2, (u1,u2)=id0, (u1,u3)=id1.
-	_, gainU1U4 := tr.candidate(2, Absolute, 1)
-	pU1U2, gainU1U2 := tr.candidate(0, Absolute, 1)
-	_, gainU1U3 := tr.candidate(1, Absolute, 1)
+	_, gainU1U4 := tr.candidate(2, Absolute)
+	pU1U2, gainU1U2 := tr.candidate(0, Absolute)
+	_, gainU1U3 := tr.candidate(1, Absolute)
 	if !(gainU1U2 > gainU1U4 && gainU1U2 > gainU1U3) {
 		t.Errorf("gains (u1,u2)=%v (u1,u4)=%v (u1,u3)=%v: (u1,u2) must win",
 			gainU1U2, gainU1U4, gainU1U3)

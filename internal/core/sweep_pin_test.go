@@ -49,10 +49,10 @@ func TestSweepOutputPinned(t *testing.T) {
 		"gdb/k2/relative":      0x123b06eed40260a4,
 		"gdb/kall/absolute":    0xb8dc10131024fffe,
 		"gdb/kall/relative":    0xc6633676e5087d67,
-		"emd/absolute":         0x04fe935ea98c404e,
-		"emd/relative":         0xf6a4402e0d2b6b32,
+		"emd/absolute":         0xba50b5ed0a8fef52,
+		"emd/relative":         0x4a73383fdc25cb28,
 		"dynamic/gdb/absolute": 0x8ece3a9fe39f6de9,
-		"dynamic/emd/relative": 0x8c85e9a044706546,
+		"dynamic/emd/relative": 0x2087441b786effd9,
 	}
 	got := make(map[string]uint64, len(want))
 	// fullSweeps reports whether a GDB run's work counter reads Iterations

@@ -46,6 +46,30 @@ func TestShapeFig6ProposedBeatBenchmarks(t *testing.T) {
 	}
 }
 
+// TestShapeEMDNotWorseThanGDB: EMD starts from GDB's backbone and may swap
+// its edges (Algorithm 3), so on every dataset, ratio, discrepancy and
+// backbone kind its degree MAE must not exceed GDB's on the same backbone
+// (Table 2's EMD rows against the GDB rows above them).
+func TestShapeEMDNotWorseThanGDB(t *testing.T) {
+	ctx := testContext()
+	for _, ds := range realLikeDatasets(ctx) {
+		for _, alpha := range []float64{0.16, 0.32, 0.64} {
+			for _, dt := range []core.Discrepancy{core.Absolute, core.Relative} {
+				for _, spanning := range []bool{false, true} {
+					gdb := proposedVariant(core.MethodGDB, dt, 1, spanning)
+					emd := proposedVariant(core.MethodEMD, dt, 1, spanning)
+					gdbMAE := core.MAEDegreeDiscrepancy(ds.g, mustRun(t, gdb, ds.g, alpha, 1), core.Absolute)
+					emdMAE := core.MAEDegreeDiscrepancy(ds.g, mustRun(t, emd, ds.g, alpha, 1), core.Absolute)
+					if emdMAE > gdbMAE {
+						t.Errorf("%s α=%v: %s MAE %.4g above %s MAE %.4g",
+							ds.name, alpha, emd.Name, emdMAE, gdb.Name, gdbMAE)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestShapeFig8EntropyOrdering: the proposed methods reduce entropy more
 // than SS (which performs no redistribution) at every α, and every method
 // yields relative entropy < 1.

@@ -11,20 +11,26 @@
 //     w'_e = w_e/ℓ_e. The round r at which an edge is exhausted is its NI
 //     index — a lower bound on its connectivity — so edges in dense regions
 //     (large r) are sampled with low probability and compensated with large
-//     weights.
+//     weights. The peeling depends only on the integer weights, so it runs
+//     once per call and records each edge's index in peel order (the NI
+//     index is a property of the graph, as in Fung–Harvey); only the
+//     sampling depends on ε.
 //  3. Calibrate ε so the output has at most α|E| edges (the expected size is
-//     only asymptotic), approaching the minimal such ε from below.
+//     only asymptotic), approaching the minimal such ε from below. Each
+//     calibration run replays the recorded peel order with its own ε and
+//     random stream.
 //  4. Fill the remaining budget by Bernoulli sampling of leftover edges with
 //     their original probabilities, and transform weights back through
 //     p'_e = min(w'_e·p_min, 1).
 package ni
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ugs/internal/core"
 	"ugs/internal/ds"
@@ -57,8 +63,8 @@ func (o *Options) defaults() {
 // Sparsify reduces g to α·|E| edges with the NI benchmark. The returned
 // RunStats reports the calibration count (Iterations), the final calibrated
 // ε (Epsilon) and the NI-core selections before truncation/fill-up
-// (AuxEdges). Cancelling ctx aborts between calibration runs and returns the
-// context's error.
+// (AuxEdges). Cancelling ctx aborts the forest peeling between forest rounds
+// and the calibration between runs, and returns the context's error.
 func Sparsify(ctx context.Context, g *ugraph.Graph, alpha float64, opts Options) (*ugraph.Graph, *core.RunStats, error) {
 	opts.defaults()
 	if !(alpha > 0 && alpha < 1) {
@@ -69,33 +75,25 @@ func Sparsify(ctx context.Context, g *ugraph.Graph, alpha float64, opts Options)
 		return nil, nil, fmt.Errorf("ni: α = %v yields invalid target %d of %d edges", alpha, target, g.NumEdges())
 	}
 
-	pmin := math.Inf(1)
-	for _, e := range g.Edges() {
-		if e.P < pmin {
-			pmin = e.P
-		}
-	}
-	weights := make([]int, g.NumEdges())
-	for id, e := range g.Edges() {
-		w := int(math.Round(e.P / pmin))
-		if w < 1 {
-			w = 1
-		}
-		weights[id] = w
+	weights, pmin := intWeights(g)
+	order, err := peel(ctx, g, weights)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	n := float64(g.NumVertices())
-	eps := math.Sqrt(n * math.Log(n) / (alpha * float64(g.NumEdges())))
+	logN := math.Log(n)
+	eps := math.Sqrt(n * logN / (alpha * float64(g.NumEdges())))
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// Calibration: find (approximately) the minimal ε whose output does
 	// not exceed the edge budget.
 	calibrations := 0
-	run := func(eps float64) (map[int]float64, error) {
+	run := func(eps float64) ([]keptEdge, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		kept := niCore(g, weights, eps, rand.New(rand.NewSource(rng.Int63())))
+		kept := sample(order, weights, logN, eps, rand.New(rand.NewSource(rng.Int63())))
 		calibrations++
 		if opts.Progress != nil {
 			opts.Progress(core.RunStats{Iterations: calibrations, Epsilon: eps, AuxEdges: len(kept)})
@@ -134,20 +132,15 @@ func Sparsify(ctx context.Context, g *ugraph.Graph, alpha float64, opts Options)
 		}
 	}
 
-	// Inverse transform with the probability cap at 1. Map iteration order
-	// is randomized, so sort ids to keep the output deterministic.
-	coreIDs := make([]int, 0, len(kept))
-	for id := range kept {
-		coreIDs = append(coreIDs, id)
-	}
-	sort.Ints(coreIDs)
+	// Inverse transform with the probability cap at 1, in id order.
+	slices.SortFunc(kept, func(a, b keptEdge) int { return cmp.Compare(a.id, b.id) })
 	selected := make([]int, 0, target)
 	probs := make([]float64, 0, target)
 	in := make([]bool, g.NumEdges())
-	for _, id := range coreIDs {
-		selected = append(selected, id)
-		probs = append(probs, math.Min(kept[id]*pmin, 1))
-		in[id] = true
+	for _, k := range kept {
+		selected = append(selected, k.id)
+		probs = append(probs, math.Min(k.w*pmin, 1))
+		in[k.id] = true
 	}
 
 	// Fill the remaining budget by Bernoulli sampling of leftover edges
@@ -193,80 +186,108 @@ func Sparsify(ctx context.Context, g *ugraph.Graph, alpha float64, opts Options)
 	return out, stats, nil
 }
 
-// niCore is Algorithm 4: contiguous spanning forests with weight decrements
-// and exhaustion-time sampling. It returns the sampled edges with their
-// rescaled weights w_e/ℓ_e.
-func niCore(g *ugraph.Graph, origWeights []int, eps float64, rng *rand.Rand) map[int]float64 {
-	n := g.NumVertices()
-	m := g.NumEdges()
-	w := make([]int, m)
-	copy(w, origWeights)
-	remaining := m
-	logN := math.Log(float64(n))
+// intWeights is step 1's transform: w_e = ⌊p_e/p_min⌉, at least 1. It also
+// returns p_min for the inverse transform.
+func intWeights(g *ugraph.Graph) ([]int, float64) {
+	pmin := math.Inf(1)
+	for _, e := range g.Edges() {
+		if e.P < pmin {
+			pmin = e.P
+		}
+	}
+	weights := make([]int, g.NumEdges())
+	for id, e := range g.Edges() {
+		weights[id] = max(int(math.Round(e.P/pmin)), 1)
+	}
+	return weights, pmin
+}
 
-	kept := make(map[int]float64)
-	uf := ds.NewUnionFind(n)
-	var prevForest, forest []int
+// exhaustion records that edge id's weight ran out in forest round round,
+// which is the edge's NI index.
+type exhaustion struct {
+	id, round int
+}
 
-	for r := 1; remaining > 0; r++ {
+// peel is the forest peeling of Algorithm 4: contiguous spanning forests
+// with weight decrements. It returns every edge's exhaustion in peel order,
+// which is the order in which Algorithm 4 samples them. Each round offers
+// the previous forest's edges that still carry weight first (contiguity),
+// then every edge with weight left in ascending id order; an exhausted edge
+// leaves that list, so a round walks only edges that still carry weight.
+// ctx is checked once per round.
+func peel(ctx context.Context, g *ugraph.Graph, weights []int) ([]exhaustion, error) {
+	edges := g.Edges()
+	live := make([]int32, len(edges))
+	for id := range live {
+		live[id] = int32(id)
+	}
+	w := slices.Clone(weights)
+	order := make([]exhaustion, 0, len(edges))
+	uf := ds.NewUnionFind(g.NumVertices())
+	var prevForest, forest []int32
+	for r := 1; len(live) > 0; r++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		uf.Reset()
 		forest = forest[:0]
-		// Contiguity: edges of the previous forest that still carry weight
-		// must be offered first, then the rest in deterministic order.
 		for _, id := range prevForest {
-			if w[id] > 0 {
-				e := g.Edge(id)
-				if uf.Union(e.U, e.V) {
-					forest = append(forest, id)
-				}
+			if w[id] > 0 && uf.Union(edges[id].U, edges[id].V) {
+				forest = append(forest, id)
 			}
 		}
-		for id := 0; id < m; id++ {
-			if w[id] <= 0 {
-				continue
-			}
-			e := g.Edge(id)
-			if uf.Union(e.U, e.V) {
+		for _, id := range live {
+			if uf.Union(edges[id].U, edges[id].V) {
 				forest = append(forest, id)
 			}
 		}
 		if len(forest) == 0 {
 			break // isolated leftovers cannot occur, but guard anyway
 		}
+		exhausted := len(order)
 		for _, id := range forest {
 			w[id]--
 			if w[id] == 0 {
-				remaining--
-				le := math.Min(logN/(eps*eps*float64(r)), 1)
-				if rng.Float64() < le {
-					kept[id] = float64(origWeights[id]) / le
-				}
+				order = append(order, exhaustion{int(id), r})
 			}
 		}
-		prevForest = append(prevForest[:0], forest...)
+		if len(order) > exhausted {
+			live = slices.DeleteFunc(live, func(id int32) bool { return w[id] == 0 })
+		}
+		prevForest, forest = forest, prevForest
+	}
+	return order, nil
+}
+
+// keptEdge is an edge the NI core selected, with its rescaled weight
+// w_e/ℓ_e.
+type keptEdge struct {
+	id int
+	w  float64
+}
+
+// sample is Algorithm 4's exhaustion-time sampling for one ε: it walks the
+// peel order and keeps an edge exhausted in round r with probability
+// ℓ_e = min(logN / (ε²·r), 1), drawing one rng.Float64() per exhausted edge.
+func sample(order []exhaustion, weights []int, logN, eps float64, rng *rand.Rand) []keptEdge {
+	var kept []keptEdge
+	for _, x := range order {
+		le := math.Min(logN/(eps*eps*float64(x.round)), 1)
+		if rng.Float64() < le {
+			kept = append(kept, keptEdge{x.id, float64(weights[x.id]) / le})
+		}
 	}
 	return kept
 }
 
-// truncate keeps the target highest-weight entries (deterministic by id on
+// truncate keeps the target highest-weight selections (lowest id first on
 // ties).
-func truncate(kept map[int]float64, target int) map[int]float64 {
-	type kv struct {
-		id int
-		w  float64
-	}
-	all := make([]kv, 0, len(kept))
-	for id, w := range kept {
-		all = append(all, kv{id, w})
-	}
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && (all[j].w > all[j-1].w || (all[j].w == all[j-1].w && all[j].id < all[j-1].id)); j-- {
-			all[j], all[j-1] = all[j-1], all[j]
+func truncate(kept []keptEdge, target int) []keptEdge {
+	slices.SortFunc(kept, func(a, b keptEdge) int {
+		if c := cmp.Compare(b.w, a.w); c != 0 {
+			return c
 		}
-	}
-	out := make(map[int]float64, target)
-	for _, e := range all[:target] {
-		out[e.id] = e.w
-	}
-	return out
+		return cmp.Compare(a.id, b.id)
+	})
+	return kept[:target]
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ugs/internal/ds"
 	"ugs/internal/ugraph"
 )
 
@@ -242,4 +243,111 @@ func TestSparsifyQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// niCore is the reference NI core: Algorithm 4 run whole for one ε, peeling
+// every forest again and scanning every edge id in each round, as Sparsify
+// did once per calibration before the peel order was recorded once. It
+// returns the sampled edges with their rescaled weights w_e/ℓ_e.
+func niCore(g *ugraph.Graph, origWeights []int, eps float64, rng *rand.Rand) map[int]float64 {
+	n := g.NumVertices()
+	m := g.NumEdges()
+	w := make([]int, m)
+	copy(w, origWeights)
+	remaining := m
+	logN := math.Log(float64(n))
+
+	kept := make(map[int]float64)
+	uf := ds.NewUnionFind(n)
+	var prevForest, forest []int
+
+	for r := 1; remaining > 0; r++ {
+		uf.Reset()
+		forest = forest[:0]
+		// Contiguity: edges of the previous forest that still carry weight
+		// must be offered first, then the rest in deterministic order.
+		for _, id := range prevForest {
+			if w[id] > 0 {
+				e := g.Edge(id)
+				if uf.Union(e.U, e.V) {
+					forest = append(forest, id)
+				}
+			}
+		}
+		for id := 0; id < m; id++ {
+			if w[id] <= 0 {
+				continue
+			}
+			e := g.Edge(id)
+			if uf.Union(e.U, e.V) {
+				forest = append(forest, id)
+			}
+		}
+		if len(forest) == 0 {
+			break // isolated leftovers cannot occur, but guard anyway
+		}
+		for _, id := range forest {
+			w[id]--
+			if w[id] == 0 {
+				remaining--
+				le := math.Min(logN/(eps*eps*float64(r)), 1)
+				if rng.Float64() < le {
+					kept[id] = float64(origWeights[id]) / le
+				}
+			}
+		}
+		prevForest = append(prevForest[:0], forest...)
+	}
+	return kept
+}
+
+// FuzzNIPeel checks the recorded peel order, replayed for one ε, against
+// the reference niCore on the same integer weights: the same edges must be
+// kept with bit-equal weights. The graph (up to 48 vertices; each edge
+// record is two endpoint bytes and the top two bytes of its probability's
+// float64 bits, values above 1 clamped to 1 and values below 2⁻⁹ skipped so
+// that no weight exceeds 512, which keeps each peel short), ε ∈ (0, 10] and
+// the sampling seed all come from the input. Repeated probability bytes make
+// tied weights, and the smallest probability present makes weight-1 edges.
+func FuzzNIPeel(f *testing.F) {
+	f.Add(uint8(6), uint16(3000), int64(1), []byte{0, 1, 0x3f, 0xe0, 1, 2, 0x3f, 0xf0, 2, 3, 0x3f, 0xd0, 3, 0, 0x3f, 0xe0, 0, 2, 0x3f, 0x80})
+	f.Add(uint8(2), uint16(0), int64(-7), []byte{0, 1, 0x3f, 0xf0})
+	f.Add(uint8(30), uint16(65535), int64(42), []byte{1, 9, 0x3f, 0xb0, 9, 4, 0x3f, 0xc8, 4, 17, 0x3f, 0xe8, 17, 1, 0x3f, 0x70, 1, 4, 0x3f, 0x70, 9, 17, 0x3f, 0xef})
+	f.Fuzz(func(t *testing.T, nv uint8, epsBits uint16, seed int64, data []byte) {
+		n := 1 + int(nv)%48
+		b := ugraph.NewBuilder(n)
+		for i := 0; i+4 <= len(data); i += 4 {
+			u, v := int(data[i])%n, int(data[i+1])%n
+			p := math.Float64frombits(uint64(data[i+2])<<56 | uint64(data[i+3])<<48)
+			if p > 1 {
+				p = 1
+			}
+			if !(p >= 1.0/512) {
+				continue
+			}
+			_ = b.AddEdge(u, v, p) // self-loops and repeats are rejected: skip them
+		}
+		g := b.Graph()
+		eps := 10 * (float64(epsBits) + 1) / 65536
+		weights, _ := intWeights(g)
+		want := niCore(g, weights, eps, rand.New(rand.NewSource(seed)))
+
+		order, err := peel(context.Background(), g, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(order) != g.NumEdges() {
+			t.Fatalf("peel recorded %d exhaustions for %d edges", len(order), g.NumEdges())
+		}
+		got := sample(order, weights, math.Log(float64(n)), eps, rand.New(rand.NewSource(seed)))
+		if len(got) != len(want) {
+			t.Fatalf("ε = %v: kept %d edges, reference %d", eps, len(got), len(want))
+		}
+		for _, k := range got {
+			w, ok := want[k.id]
+			if !ok || math.Float64bits(w) != math.Float64bits(k.w) {
+				t.Fatalf("ε = %v: edge %d kept with weight %v, reference %v (kept %v)", eps, k.id, k.w, w, ok)
+			}
+		}
+	})
 }

@@ -107,9 +107,11 @@ func WithCutOrder(k int) Option {
 
 // WithEntropy sets the entropy parameter h ∈ [0, 1]: when an optimal
 // probability step would increase an edge's entropy, only the fraction h of
-// the step is applied. Unlike the core.Options.H field, an explicit
-// WithEntropy(0) means a true zero (the HZero sentinel is applied
-// internally); omitting the option selects the paper's default 0.05.
+// the step is applied. For emd it caps the M-phase's sweeps; an edge the
+// E-phase swaps in enters at its optimum. Unlike the core.Options.H field,
+// an explicit WithEntropy(0) means a true zero (the HZero sentinel is
+// applied internally); omitting the option selects the paper's default
+// 0.05.
 func WithEntropy(h float64) Option {
 	return func(c *config) error {
 		if !(h >= 0 && h <= 1) {
