@@ -48,7 +48,7 @@ func RunServeContext(ctx context.Context, args []string, stdout, stderr io.Write
 		lanes       = fs.String("lanes", "auto", "default query engine width: auto (fixed rule over query kind and sample budget), 1 (scalar ablation), 64 or 256 world lanes")
 		fanOut      = fs.String("fan-out", "auto", "default source group size of pair-query source traversals (pairs whose source has few targets run pair searches instead): auto (fixed rule over lane width and distinct sources), 1 (per-source ablation) or 2..64 sources per traversal")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this side listener (e.g. localhost:6060; empty = disabled)")
-		worldCache  = fs.String("world-cache", "64M", "sampled-world cache budget with K/M/G suffixes (0 disables)")
+		worldCache  = fs.String("world-cache", "64M", "sampled-world cache budget with K/M/G suffixes (0 disables); a block is kept from its second request")
 		reqTimeout  = fs.Duration("request-timeout", 0, "per-request wall-clock cap for queries and sparsifications (0 = unbounded; a request's timeout_ms can only tighten it)")
 		maxCost     = fs.String("max-cost", "", "admission-control capacity in cost units (samples × graph arcs) with K/M/G suffixes, e.g. 2G (empty = no admission control)")
 		maxQueue    = fs.Int("max-queue", 64, "admission wait-queue length before shedding with 429 (negative = unbounded)")

@@ -122,6 +122,8 @@ func TestPatchCacheCoherence(t *testing.T) {
 	if w := do(t, s, "POST", "/v1/sparsify", sparsifyBody("g", 0.3, "gdb", 4), &sp1); w.Code != 200 || sp1.Cached {
 		t.Fatalf("sparsify warm: %d %+v", w.Code, sp1)
 	}
+	// Each stream's query is its second request, so it keeps its blocks.
+	warmWorlds(t, s, "g", 600, 9)
 	var q1 QueryResponse
 	if w := do(t, s, "POST", "/v1/query", reliabilityBody("g", 600, 9), &q1); w.Code != 200 || q1.Cached {
 		t.Fatalf("query warm: %d %+v", w.Code, q1)
@@ -130,6 +132,7 @@ func TestPatchCacheCoherence(t *testing.T) {
 	if w := do(t, s, "POST", "/v1/query", reliabilityBody("g", 600, 9), &q1b); w.Code != 200 || !q1b.Cached {
 		t.Fatalf("query repeat should hit the cache: %d %+v", w.Code, q1b)
 	}
+	warmWorlds(t, s, sp1.ID, 600, 9)
 	if w := do(t, s, "POST", "/v1/query", reliabilityBody(sp1.ID, 600, 9), nil); w.Code != 200 {
 		t.Fatalf("query on the sparsified result: %d %s", w.Code, w.Body.String())
 	}

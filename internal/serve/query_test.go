@@ -6,10 +6,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -270,6 +272,129 @@ func TestMalformedQueryIsNotAdmitted(t *testing.T) {
 	}
 	if st := s.limiter.Stats(); st.Shed != 0 {
 		t.Fatalf("limiter shed %d malformed queries, want 0", st.Shed)
+	}
+}
+
+// TestAnsweredRequestsTakeNoSlot: admission charges only the work that will
+// run. With the whole capacity held, a repeat of an answered query and of an
+// answered sparsify still answers 200 from the cache inside a 200 ms
+// deadline, instead of queueing until it expires.
+func TestAnsweredRequestsTakeNoSlot(t *testing.T) {
+	s, _ := newTestServer(t, Config{MaxCost: 1000, MaxQueue: 1})
+	query := reliabilityBody("g", 256, 3)
+	sparsify := sparsifyBody("g", 0.3, "gdb", 1)
+	for path, body := range map[string]map[string]any{"/v1/query": query, "/v1/sparsify": sparsify} {
+		if w := do(t, s, "POST", path, body, nil); w.Code != 200 {
+			t.Fatalf("first %s: %d %s", path, w.Code, w.Body.String())
+		}
+	}
+	release, err := s.limiter.Acquire(context.Background(), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	before := s.limiter.Stats()
+
+	query["timeout_ms"], sparsify["timeout_ms"] = 200, 200
+	var q QueryResponse
+	if w := do(t, s, "POST", "/v1/query", query, &q); w.Code != 200 || !q.Cached {
+		t.Errorf("repeat query under full capacity: %d %s, want 200 cached", w.Code, w.Body.String())
+	}
+	var sp SparsifyResponse
+	if w := do(t, s, "POST", "/v1/sparsify", sparsify, &sp); w.Code != 200 || !sp.Cached {
+		t.Errorf("repeat sparsify under full capacity: %d %s, want 200 cached", w.Code, w.Body.String())
+	}
+	if st := s.limiter.Stats(); st.Admitted != before.Admitted || st.EverQueue != before.EverQueue {
+		t.Errorf("cache hits went through admission: limiter %+v, before %+v", st, before)
+	}
+}
+
+// TestRidersTakeNoSlot: a request that joins an in-flight computation
+// shares its answer without queueing for a slot of its own, even when the
+// computation holds the whole capacity.
+func TestRidersTakeNoSlot(t *testing.T) {
+	t.Run("query", func(t *testing.T) {
+		s, _ := newTestServer(t, Config{MaxCost: 1000, MaxQueue: 1})
+		started, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		gate := func() { once.Do(func() { close(started); <-release }) }
+		s.batcher.run = func(ctx context.Context, g *ugs.Graph, pairs []ugs.Pair, opts ugs.MCOptions) ([]float64, []float64, error) {
+			opts.FillCache = gatedFills{inner: opts.FillCache, gate: gate}
+			return ugs.ShortestDistanceAndReliability(ctx, g, pairs, opts)
+		}
+		body := reliabilityBody("g", 256, 3)
+		owner := make(chan *httptest.ResponseRecorder, 1)
+		go func() { owner <- serve(s, "POST", "/v1/query", body) }()
+		<-started
+		rider := make(chan *httptest.ResponseRecorder, 1)
+		body["timeout_ms"] = 5000
+		go func() { rider <- serve(s, "POST", "/v1/query", body) }()
+		waitFor(t, "the rider to join the flight", func() bool { return s.queries.Stats().Shared == 1 })
+		close(release)
+		for name, ch := range map[string]chan *httptest.ResponseRecorder{"owner": owner, "rider": rider} {
+			if w := <-ch; w.Code != 200 {
+				t.Errorf("%s: %d %s", name, w.Code, w.Body.String())
+			}
+		}
+		if st := s.limiter.Stats(); st.Admitted != 1 || st.EverQueue != 0 {
+			t.Errorf("limiter %+v, want the owner admitted and nobody queued", st)
+		}
+	})
+	t.Run("sparsify", func(t *testing.T) {
+		s, _ := newTestServer(t, Config{MaxCost: 1000, MaxQueue: 1})
+		method, started, release := gatedMethod(t)
+		body := sparsifyBody("g", 0.3, method, 1)
+		owner := make(chan *httptest.ResponseRecorder, 1)
+		go func() { owner <- serve(s, "POST", "/v1/sparsify", body) }()
+		<-started
+		rider := make(chan *httptest.ResponseRecorder, 1)
+		go func() { rider <- serve(s, "POST", "/v1/sparsify", body) }()
+		waitFor(t, "the rider to join the flight", func() bool { return s.sparse.Stats().Shared == 1 })
+		close(release)
+		for name, ch := range map[string]chan *httptest.ResponseRecorder{"owner": owner, "rider": rider} {
+			if w := <-ch; w.Code != 200 {
+				t.Errorf("%s: %d %s", name, w.Code, w.Body.String())
+			}
+		}
+		if st := s.limiter.Stats(); st.Admitted != 1 || st.EverQueue != 0 {
+			t.Errorf("limiter %+v, want the owner admitted and nobody queued", st)
+		}
+	})
+}
+
+// TestRiderOfShedOwnerRetries: the limiter sheds the owner of a flight
+// that another caller has joined. The rider was not shed itself, so it
+// runs the computation under its own admission instead of inheriting the
+// 429.
+func TestRiderOfShedOwnerRetries(t *testing.T) {
+	c := NewCache[int](4)
+	var retries atomic.Int64
+	started, shed := make(chan struct{}), make(chan struct{})
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, _, err := doRetrying(context.Background(), c, "k", &retries, func() (int, error) {
+			close(started)
+			<-shed
+			return 0, ErrOverloaded
+		})
+		ownerErr <- err
+	}()
+	<-started
+	riderDone := make(chan int, 1)
+	go func() {
+		v, _, err := doRetrying(context.Background(), c, "k", &retries, func() (int, error) { return 7, nil })
+		if err != nil {
+			t.Errorf("rider: %v", err)
+		}
+		riderDone <- v
+	}()
+	waitFor(t, "the rider to join the flight", func() bool { return c.Stats().Shared == 1 })
+	close(shed)
+	if err := <-ownerErr; !errors.Is(err, ErrOverloaded) {
+		t.Errorf("owner: %v, want its own shed", err)
+	}
+	if v := <-riderDone; v != 7 || retries.Load() != 1 {
+		t.Errorf("rider got %d after %d retries, want 7 after 1", v, retries.Load())
 	}
 }
 

@@ -65,7 +65,8 @@ type Config struct {
 	// source has few targets run pair searches, which it does not apply to.
 	FanOut int
 	// WorldCacheBytes bounds the cross-request sampled-world cache
-	// (default 64 MiB; negative disables it).
+	// (default 64 MiB; negative disables it). The cache keeps a block from
+	// its second request, so one-shot sample streams occupy none of it.
 	WorldCacheBytes int64
 	// RequestTimeout caps how long any single query/sparsify request may
 	// run (0 = unbounded). A request's own timeout_ms can only tighten it.
@@ -119,7 +120,8 @@ type Server struct {
 	batcher *Batcher
 	// worlds is the cross-request sampled-world cache (nil when disabled):
 	// every batch-engine query hands it to the Monte-Carlo options, so
-	// fills are shared across kinds, widths and requests.
+	// fills requested more than once are shared across kinds, widths and
+	// requests.
 	worlds  *WorldCache
 	jobs    *Jobs
 	limiter *Limiter
@@ -393,11 +395,19 @@ func validateSparsify(req *SparsifyRequest) error {
 }
 
 // sparsify runs (or reuses) the sparsification described by req. compute
-// runs under runCtx — the server base context for synchronous requests, the
-// job context for async ones — and progress, when non-nil, observes the run.
-func (s *Server) sparsify(runCtx context.Context, req *SparsifyRequest, g *ugs.Graph, gid string, progress func(ugs.RunStats)) (*SparsifyResponse, error) {
+// runs under runCtx — the request context for synchronous requests, the job
+// context for async ones — and progress, when non-nil, observes the run.
+// Only a run takes a slot of lim: a cache hit, or a caller that joins an
+// in-flight run, answers without admission. Jobs pass a nil lim, which
+// admits everything.
+func (s *Server) sparsify(runCtx context.Context, req *SparsifyRequest, g *ugs.Graph, gid string, progress func(ugs.RunStats), lim *Limiter) (*SparsifyResponse, error) {
 	key, id := requestKey(gid, req.Alpha, req.Spec)
 	entry, cached, err := doRetrying(runCtx, s.sparse, id, &s.resilience.retries, func() (*sparseEntry, error) {
+		lrelease, err := lim.Acquire(runCtx, sparsifyCost(g))
+		if err != nil {
+			return nil, err
+		}
+		defer lrelease()
 		var extra []ugs.Option
 		if progress != nil {
 			extra = append(extra, ugs.WithProgress(progress))
@@ -435,17 +445,22 @@ func (s *Server) sparsify(runCtx context.Context, req *SparsifyRequest, g *ugs.G
 }
 
 // doRetrying is c.Do with one subtlety: a compute can be owned by an async
-// job whose context dies when the job is cancelled, or by a request whose
-// deadline expired mid-run. A caller that merely shared that flight was not
-// itself cancelled, so on a cancellation error from a foreign owner it
+// job whose context dies when the job is cancelled, by a request whose
+// deadline expired mid-run or in the admission queue, or by a request the
+// limiter shed. A caller that merely shared that flight was neither
+// cancelled nor shed itself, so on such an error from a foreign owner it
 // retries — the failed flight is deregistered, and the retry recomputes
-// under this caller's own context. The loop terminates because each
-// iteration either succeeds, fails for a non-cancellation reason, or
-// observes this caller's own context cancelled.
+// under this caller's own context and admission. The loop terminates
+// because each iteration either succeeds, fails for another reason, fails
+// in this caller's own compute, or observes this caller's own context
+// cancelled.
 func doRetrying[V any](ctx context.Context, c *Cache[V], key string, retries *atomic.Int64, compute func() (V, error)) (V, bool, error) {
 	for {
-		val, cached, err := c.Do(ctx, key, compute)
-		if (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
+		ran := false // Do runs compute on this goroutine, if at all
+		val, cached, err := c.Do(ctx, key, func() (V, error) { ran = true; return compute() })
+		foreign := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+			(!ran && errors.Is(err, ErrOverloaded))
+		if foreign && ctx.Err() == nil {
 			retries.Add(1)
 			continue
 		}
@@ -474,13 +489,7 @@ func (s *Server) handleSparsify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	lrelease, err := s.limiter.Acquire(ctx, sparsifyCost(g))
-	if err != nil {
-		s.writeAdmitErr(w, err)
-		return
-	}
-	defer lrelease()
-	resp, err := s.sparsify(ctx, &req, g, gid, nil)
+	resp, err := s.sparsify(ctx, &req, g, gid, nil, s.limiter)
 	if err != nil {
 		s.writeComputeErr(w, err)
 		return
@@ -605,16 +614,18 @@ type QueryResponse struct {
 	Cached      bool    `json:"cached"`
 }
 
-// handleQuery serves POST /v1/query in five steps, so a request that can
-// never succeed costs neither a graph load nor an admission slot:
+// handleQuery serves POST /v1/query in four steps, so a request that can
+// never succeed costs neither a graph load nor an admission slot, and one
+// whose answer exists or is being computed costs no slot either:
 //
 //  1. plan: planQuery makes every check that needs no graph (400);
 //  2. acquire: the graph is pinned (404 unknown, 503 quarantined) and the
 //     pair endpoints are checked against it (400);
-//  3. admit: the limiter charges the run's cost (429 when shed);
-//  4. execute: one cache key and one runQuery, coalesced across callers;
-//     a hit on a degraded entry also starts its revalidation;
-//  5. respond: queryResponse, the same shape for every kind.
+//  3. execute: one cache key, coalesced across callers; a miss is admitted
+//     by the limiter at the run's cost (429 when shed, 504 when the
+//     deadline expires in its queue) and then runs runQuery; a hit on a
+//     degraded entry also starts its revalidation;
+//  4. respond: queryResponse, the same shape for every kind.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if !decodeJSON(w, r, &req) {
@@ -646,15 +657,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	lrelease, err := s.limiter.Acquire(ctx, queryCost(g, p.run))
-	if err != nil {
-		s.writeAdmitErr(w, err)
-		return
-	}
-	defer lrelease()
-
 	key := queryKey(&p, gid)
 	entry, cached, err := doRetrying(ctx, s.queries, key, &s.resilience.retries, func() (*queryEntry, error) {
+		lrelease, err := s.limiter.Acquire(ctx, queryCost(g, p.run))
+		if err != nil {
+			return nil, err
+		}
+		defer lrelease()
 		return s.runQuery(ctx, &p, g, gid, p.run)
 	})
 	if err != nil {
@@ -941,7 +950,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	// graph until the run finishes, so it owns the release.
 	job := s.jobs.Start(func(ctx context.Context, progress func(ugs.RunStats)) (*SparsifyResponse, error) {
 		defer release()
-		return s.sparsify(ctx, &req, g, gid, progress)
+		return s.sparsify(ctx, &req, g, gid, progress, nil)
 	})
 	writeJSON(w, http.StatusAccepted, job.Status())
 }
@@ -1145,24 +1154,19 @@ func (s *Server) writeAcquireErr(w http.ResponseWriter, err error) {
 	}
 }
 
-// writeAdmitErr reports a request that failed admission: shed by the limiter
-// (retryable 429) or dead on its own context before capacity freed.
-func (s *Server) writeAdmitErr(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrOverloaded) {
+// writeComputeErr reports a computation that failed: shed by the limiter
+// (retryable 429), dead on its own context, in the admission queue or while
+// running, or failed outright.
+func (s *Server) writeComputeErr(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, ErrOverloaded):
 		writeError(w, http.StatusTooManyRequests, CodeOverloaded,
 			"server overloaded: admission queue full", s.limiter.RetryAfter())
-		return
-	}
-	s.writeCtxErr(w, err)
-}
-
-// writeComputeErr reports a computation that failed after admission.
-func (s *Server) writeComputeErr(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		s.writeCtxErr(w, err)
-		return
+	default:
+		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error(), 0)
 	}
-	writeError(w, http.StatusInternalServerError, CodeInternal, err.Error(), 0)
 }
 
 // writeCtxErr reports a request whose context died: its deadline expired

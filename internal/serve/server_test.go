@@ -695,26 +695,72 @@ func TestQueryWorldCacheShared(t *testing.T) {
 		reqPairs[i] = [2]int{p.S, p.T}
 	}
 
+	// The reliability run is the stream's second request, so it keeps
+	// the blocks it fills.
+	warmWorlds(t, s, "g", 256, 8)
+	warm := s.worlds.Stats()
 	if w := do(t, s, "POST", "/v1/query",
 		map[string]any{"graph": "g", "kind": "reliability", "pairs": reqPairs, "samples": 256, "seed": 8}, nil); w.Code != 200 {
 		t.Fatalf("reliability: %d", w.Code)
 	}
 	var st StatsResponse
 	do(t, s, "GET", "/v1/stats", nil, &st)
-	if st.WorldCache.Misses != 4 || st.WorldCache.Entries != 4 {
+	if st.WorldCache.Misses-warm.Misses != 4 || st.WorldCache.Entries != 4 {
 		t.Fatalf("after one 256-sample run: %+v, want 4 filled blocks", st.WorldCache)
 	}
+	misses := st.WorldCache.Misses
 	// Different kind, same stream: all four blocks come from the cache.
 	if w := do(t, s, "POST", "/v1/query",
 		map[string]any{"graph": "g", "kind": "connected", "samples": 256, "seed": 8}, nil); w.Code != 200 {
 		t.Fatalf("connected: %d", w.Code)
 	}
 	do(t, s, "GET", "/v1/stats", nil, &st)
-	if st.WorldCache.Misses != 4 {
+	if st.WorldCache.Misses != misses {
 		t.Errorf("connectivity re-sampled worlds: %+v", st.WorldCache)
 	}
 	if st.WorldCache.Hits < 4 {
 		t.Errorf("cross-kind reuse hits = %d, want ≥ 4", st.WorldCache.Hits)
+	}
+}
+
+// TestOneShotStreamsKeepNoWorlds: queries that each draw a fresh seed, as
+// a cold Monte-Carlo workload does, leave no sampled world behind; a stream
+// keeps its blocks from its second request and hits from its third.
+func TestOneShotStreamsKeepNoWorlds(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	stats := func() WorldCacheStats {
+		t.Helper()
+		var st StatsResponse
+		if w := do(t, s, "GET", "/v1/stats", nil, &st); w.Code != 200 {
+			t.Fatalf("stats: %d", w.Code)
+		}
+		return st.WorldCache
+	}
+	query := func(kind string, pairs [][2]int, seed int64) {
+		t.Helper()
+		body := map[string]any{"graph": "g", "kind": kind, "samples": 64, "seed": seed}
+		if pairs != nil {
+			body["pairs"] = pairs
+		}
+		if w := do(t, s, "POST", "/v1/query", body, nil); w.Code != 200 {
+			t.Fatalf("%s seed %d: %d %s", kind, seed, w.Code, w.Body.String())
+		}
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		query("reliability", [][2]int{{0, 1}, {2, 9}}, seed)
+	}
+	if st := stats(); st.Entries != 0 || st.Bytes != 0 || st.Declined != 200 || st.Misses != 200 {
+		t.Fatalf("after 200 one-shot streams: %+v, want 200 declined fills and nothing kept", st)
+	}
+	// The last stream asked for is the one whose slot no later stream can
+	// have overwritten.
+	query("connected", nil, 200) // the stream's second request
+	if st := stats(); st.Entries != 1 || st.Hits != 0 {
+		t.Fatalf("after a stream's second request: %+v, want its block kept", st)
+	}
+	query("reliability", [][2]int{{3, 4}}, 200) // its third
+	if st := stats(); st.Hits != 1 || st.Misses != 201 {
+		t.Errorf("after a stream's third request: %+v, want a hit", st)
 	}
 }
 

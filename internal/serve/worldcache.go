@@ -2,6 +2,8 @@ package serve
 
 import (
 	"container/list"
+	"encoding/binary"
+	"hash/maphash"
 	"sync"
 
 	"ugs"
@@ -12,10 +14,17 @@ import (
 // ID, base seed, block index) through ugs.FillKey. The Monte-Carlo batch
 // engine asks it for every full block of a run, so concurrent mixed query
 // traffic — reliability, distance and connectivity requests over the same
-// (graph, seed) stream, at any lane width — re-samples each world group at
-// most once and shares the transposed masks from then on. Because blocks
-// are pure functions of their key, a hit is bit-identical to a fresh
-// sample; the cache changes cost, never results.
+// (graph, seed) stream, at any lane width — shares the transposed masks
+// of every world group it asks for more than once. Because blocks are pure
+// functions of their key, a hit is bit-identical to a fresh sample; the
+// cache changes cost, never results.
+//
+// A block is kept only from its key's second request. A doorkeeper (the
+// admission filter of TinyLFU, Einziger, Friedman & Manes, ACM TOS 2017)
+// remembers keys requested once: a key's first request fills and returns
+// its block without keeping it, its second fills and keeps it, and later
+// ones hit. So a one-shot stream, such as a query with a fresh seed, never
+// occupies the budget, however much room is free.
 //
 // Keys embed the versioned graph ID, so a re-uploaded graph never sees a
 // predecessor's worlds. The server purges a retired graph's blocks when its
@@ -30,8 +39,21 @@ type WorldCache struct {
 	entries map[ugs.FillKey]*list.Element
 	live    func(graph string) bool
 
-	hits, misses, evictions, purged int64
+	// seen is the doorkeeper: direct-mapped 64-bit hashes of keys
+	// requested once, a colliding key overwriting its slot.
+	seen     [seenSlots]uint64
+	seenSeed maphash.Seed
+
+	hits, misses, declined, evictions, purged int64
 }
+
+// seenSlots sizes the doorkeeper. Its 4,096 slots take 32 KB, under 1% of
+// the 4 MB live heap of a server answering mostly from its query cache (the
+// benchmark's query_hot workload, whose heap bound is 10%). A key is
+// remembered across about 4,096 other first requests. Forgetting one costs
+// a single extra fill, never a wrong answer: the block is kept a request
+// later.
+const seenSlots = 4096
 
 type worldEntry struct {
 	key   ugs.FillKey
@@ -41,17 +63,21 @@ type worldEntry struct {
 // NewWorldCache returns a cache bounded to budgetBytes of block payload.
 func NewWorldCache(budgetBytes int64) *WorldCache {
 	return &WorldCache{
-		budget:  budgetBytes,
-		lru:     list.New(),
-		entries: make(map[ugs.FillKey]*list.Element),
+		budget:   budgetBytes,
+		lru:      list.New(),
+		entries:  make(map[ugs.FillKey]*list.Element),
+		seenSeed: maphash.MakeSeed(),
 	}
 }
 
 // GetOrFill implements ugs.FillCache: it returns the cached block for key
-// or runs fill, stores the result, and returns it. fill runs outside the
-// lock, so concurrent misses on the same key may each sample the block —
-// both produce identical bits (fills are deterministic), only one copy is
-// retained, and unrelated keys are never serialized behind a slow fill.
+// or runs fill and returns its result, keeping it only when key was
+// requested before (see WorldCache). A declined fill counts as a miss and
+// under declined; its block becomes garbage once the caller's run ends.
+// fill runs outside the lock, so concurrent misses on the same key may each
+// sample the block — both produce identical bits (fills are deterministic),
+// at most one copy is retained, and unrelated keys are never serialized
+// behind a slow fill.
 func (c *WorldCache) GetOrFill(key ugs.FillKey, fill func() []uint64) []uint64 {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -61,15 +87,19 @@ func (c *WorldCache) GetOrFill(key ugs.FillKey, fill func() []uint64) []uint64 {
 		return el.Value.(*worldEntry).block
 	}
 	c.misses++
+	keep := c.seenBeforeLocked(key)
 	c.mu.Unlock()
 
 	block := fill()
 	size := int64(len(block)) * 8
-	if size > c.budget {
-		return block // too big to ever cache; serve it uncached
-	}
 
 	c.mu.Lock()
+	if !keep || size > c.budget {
+		// A first request, or a block too big to ever cache.
+		c.declined++
+		c.mu.Unlock()
+		return block
+	}
 	if el, ok := c.entries[key]; ok {
 		// A concurrent miss filled the same key first; keep the stored
 		// copy and let ours be garbage.
@@ -95,6 +125,32 @@ func (c *WorldCache) GetOrFill(key ugs.FillKey, fill func() []uint64) []uint64 {
 		c.mu.Unlock()
 	}
 	return block
+}
+
+// seenBeforeLocked is the doorkeeper: it reports whether key's tag holds
+// its slot, and records it there if not. Callers hold c.mu.
+func (c *WorldCache) seenBeforeLocked(key ugs.FillKey) bool {
+	tag := c.tag(key)
+	slot := &c.seen[tag%seenSlots]
+	if *slot == tag {
+		return true
+	}
+	*slot = tag
+	return false
+}
+
+// tag is key's doorkeeper hash: a maphash of its (graph, seed) stream plus
+// the block index. Its low bits pick the slot, so the consecutive blocks of
+// one stream take consecutive slots, and a run, which asks for far fewer
+// than seenSlots blocks, never overwrites its own first requests.
+func (c *WorldCache) tag(key ugs.FillKey) uint64 {
+	var h maphash.Hash
+	h.SetSeed(c.seenSeed)
+	h.WriteString(key.Graph)
+	var seed [8]byte
+	binary.LittleEndian.PutUint64(seed[:], uint64(key.Seed))
+	h.Write(seed[:])
+	return h.Sum64() + uint64(key.Block)
 }
 
 func (c *WorldCache) removeLocked(el *list.Element) {
@@ -125,8 +181,11 @@ type WorldCacheStats struct {
 	Bytes       int64 `json:"bytes"`
 	BudgetBytes int64 `json:"budget_bytes"`
 	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Evictions   int64 `json:"evictions"`
+	// Misses counts fills, kept or not; Declined counts the fills returned
+	// without being kept: a key's first request, or a block over budget.
+	Misses    int64 `json:"misses"`
+	Declined  int64 `json:"declined"`
+	Evictions int64 `json:"evictions"`
 	// Purged counts blocks removed because their graph was retired;
 	// Evictions counts budget pressure only.
 	Purged int64 `json:"purged"`
@@ -142,6 +201,7 @@ func (c *WorldCache) Stats() WorldCacheStats {
 		BudgetBytes: c.budget,
 		Hits:        c.hits,
 		Misses:      c.misses,
+		Declined:    c.declined,
 		Evictions:   c.evictions,
 		Purged:      c.purged,
 	}

@@ -27,12 +27,15 @@ func TestWorldCacheHitsAndLRUEviction(t *testing.T) {
 		return c.GetOrFill(key(i), func() []uint64 { fills++; return block(uint64(i), 4) })
 	}
 
-	a := get(0)
-	if got := get(0); &got[0] != &a[0] || fills != 1 {
+	get(0)      // first request: filled, not kept
+	a := get(0) // second request: filled and kept
+	if got := get(0); &got[0] != &a[0] || fills != 2 {
 		t.Fatalf("repeat GetOrFill refilled (fills=%d) or returned a copy", fills)
 	}
+	get(1)
 	get(1) // cache now holds {0, 1}, 0 least recent after...
 	get(0) // ...this touch makes 1 the LRU victim
+	get(2)
 	get(2) // evicts 1
 	fills = 0
 	get(0) // still cached
@@ -56,12 +59,15 @@ func TestWorldCacheHitsAndLRUEviction(t *testing.T) {
 
 func TestWorldCacheOverBudgetBlockServedUncached(t *testing.T) {
 	c := NewWorldCache(16) // two words of budget
-	got := c.GetOrFill(ugs.FillKey{Graph: "g@1"}, func() []uint64 { return block(9, 8) })
-	if len(got) != 8 || got[0] != 9 {
-		t.Fatalf("oversized block mangled: %v", got)
+	// The second request is the one the doorkeeper lets through.
+	for i := 0; i < 2; i++ {
+		got := c.GetOrFill(ugs.FillKey{Graph: "g@1"}, func() []uint64 { return block(9, 8) })
+		if len(got) != 8 || got[0] != 9 {
+			t.Fatalf("oversized block mangled: %v", got)
+		}
 	}
-	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Errorf("oversized block was cached: %+v", st)
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Declined != 2 {
+		t.Errorf("oversized block was cached or not counted as declined: %+v", st)
 	}
 }
 
@@ -116,6 +122,10 @@ func TestWorldCacheEndToEndBitIdentical(t *testing.T) {
 	if !sameFloats(spP, spC) || !sameFloats(rlP, rlC) {
 		t.Fatalf("cached run differs from plain run:\nSP %v vs %v\nRL %v vs %v", spC, spP, rlC, rlP)
 	}
+	// The stream's second request keeps its blocks.
+	if _, _, err := ugs.ShortestDistanceAndReliability(bgCtx(), g, pairs, cachedOpts); err != nil {
+		t.Fatal(err)
+	}
 	misses := c.Stats().Misses
 	if misses == 0 {
 		t.Fatal("first cached run filled nothing")
@@ -130,5 +140,100 @@ func TestWorldCacheEndToEndBitIdentical(t *testing.T) {
 	}
 	if st.Hits == 0 {
 		t.Error("cross-kind reuse produced no hits")
+	}
+}
+
+// TestWorldCacheKeepsFromSecondRequest: a key's first request fills and
+// keeps nothing, its second fills and keeps the block, and its third hits
+// without calling fill.
+func TestWorldCacheKeepsFromSecondRequest(t *testing.T) {
+	c := NewWorldCache(1 << 20)
+	key := ugs.FillKey{Graph: "g@1", Seed: 3, Block: 5}
+	fills := 0
+	get := func() []uint64 {
+		return c.GetOrFill(key, func() []uint64 { fills++; return block(7, 4) })
+	}
+	want := []WorldCacheStats{
+		{Entries: 0, Bytes: 0, Misses: 1, Declined: 1},
+		{Entries: 1, Bytes: 32, Misses: 2, Declined: 1},
+		{Entries: 1, Bytes: 32, Misses: 2, Declined: 1, Hits: 1},
+	}
+	var kept []uint64
+	for i, w := range want {
+		got := get()
+		if len(got) != 4 || got[0] != 7 {
+			t.Fatalf("request %d returned %v", i+1, got)
+		}
+		if i == 1 {
+			kept = got
+		}
+		w.BudgetBytes = 1 << 20
+		if st := c.Stats(); st != w {
+			t.Fatalf("after request %d: %+v, want %+v", i+1, st, w)
+		}
+		if fills != min(i+1, 2) {
+			t.Fatalf("after request %d: %d fills", i+1, fills)
+		}
+	}
+	if got := get(); &got[0] != &kept[0] {
+		t.Error("a hit returned a different slice than the kept fill")
+	}
+}
+
+// TestWorldCacheOneShotKeysKeepNothing: 100,000 distinct keys, each asked
+// for once, leave the cache empty; the doorkeeper stays its fixed size.
+func TestWorldCacheOneShotKeysKeepNothing(t *testing.T) {
+	c := NewWorldCache(1 << 30)
+	for i := 0; i < 100_000; i++ {
+		k := ugs.FillKey{Graph: "g@1", Seed: int64(i % 7), Block: i}
+		c.GetOrFill(k, func() []uint64 { return block(uint64(i), 16) })
+	}
+	st := c.Stats()
+	if st.Entries != 0 || st.Bytes != 0 || st.Misses != 100_000 || st.Declined != 100_000 || st.Hits != 0 {
+		t.Errorf("after 100,000 one-shot keys: %+v, want nothing kept", st)
+	}
+	if n := len(c.seen); n != seenSlots {
+		t.Errorf("doorkeeper holds %d slots, want %d", n, seenSlots)
+	}
+}
+
+// TestWorldCacheOverwrittenSlotForgetsKey: blocks seenSlots apart in one
+// stream share a doorkeeper slot, so the second of them makes the first a
+// stranger again: its next request is declined, the one after is kept.
+func TestWorldCacheOverwrittenSlotForgetsKey(t *testing.T) {
+	c := NewWorldCache(1 << 20)
+	a := ugs.FillKey{Graph: "g@1", Seed: 3, Block: 1}
+	b := ugs.FillKey{Graph: "g@1", Seed: 3, Block: 1 + seenSlots}
+	if c.tag(a)%seenSlots != c.tag(b)%seenSlots {
+		t.Fatal("keys seenSlots blocks apart do not share a slot")
+	}
+	get := func(k ugs.FillKey) { c.GetOrFill(k, func() []uint64 { return block(1, 4) }) }
+	get(a)
+	get(b) // overwrites a's slot
+	get(a)
+	if st := c.Stats(); st.Entries != 0 || st.Declined != 3 {
+		t.Fatalf("a key whose slot was overwritten was kept: %+v", st)
+	}
+	get(a)
+	if st := c.Stats(); st.Entries != 1 || st.Declined != 3 {
+		t.Fatalf("a key asked for again after being forgotten was not kept: %+v", st)
+	}
+}
+
+// warmWorlds asks for the sample stream (graph, seed) of a query of
+// samples worlds once, through the server's world cache but outside its
+// query cache, so the next request on the stream is its second and keeps
+// its blocks. It runs at 64 lanes, so every full block goes through the
+// cache.
+func warmWorlds(t *testing.T, s *Server, graph string, samples int, seed int64) {
+	t.Helper()
+	g, gid, release, err := s.acquireGraph(bgCtx(), graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	opts := ugs.MCOptions{Samples: samples, Seed: seed, Lanes: 64, FillCache: s.worlds, FillID: gid}
+	if _, err := ugs.ConnectedProbability(bgCtx(), g, opts); err != nil {
+		t.Fatal(err)
 	}
 }
