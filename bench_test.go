@@ -293,6 +293,97 @@ func BenchmarkSparsifyS10k(b *testing.B) {
 	}
 }
 
+// randomEditBatch draws a size-edit batch over g's edges: reweights to a
+// probability in [0.05, 0.95), plus, when size ≥ 2, one delete and one
+// insert at a pair absent from g, so that the structural path runs.
+func randomEditBatch(rng *rand.Rand, g *ugs.Graph, size int) []ugs.EdgeEdit {
+	edges := g.Edges()
+	picked := make(map[int]bool, size)
+	edits := make([]ugs.EdgeEdit, 0, size)
+	for len(edits) < size {
+		id := rng.Intn(len(edges))
+		if picked[id] {
+			continue
+		}
+		picked[id] = true
+		e := edges[id]
+		switch {
+		case size >= 2 && len(edits) == 0:
+			edits = append(edits, ugs.EdgeEdit{Op: ugs.EditDelete, U: e.U, V: e.V})
+		case size >= 2 && len(edits) == 1:
+			for {
+				u, v := rng.Intn(g.NumVertices()), rng.Intn(g.NumVertices())
+				if _, exists := g.EdgeID(u, v); u != v && !exists {
+					edits = append(edits, ugs.EdgeEdit{Op: ugs.EditInsert, U: u, V: v, P: 0.05 + 0.9*rng.Float64()})
+					break
+				}
+			}
+		default:
+			edits = append(edits, ugs.EdgeEdit{Op: ugs.EditReweight, U: e.U, V: e.V, P: 0.05 + 0.9*rng.Float64()})
+		}
+	}
+	return edits
+}
+
+// BenchmarkDynamicRepair times one Dynamic.Repair per op on the s100k
+// fixture (α = 0.3, GDB, seed 1), each with a fresh batch of 1, 16 or 64
+// edits from randomEditBatch (drawn outside the timer). The /scratch rows
+// are the alternative a repair saves: apply a batch to the base graph and
+// sparsify the result with GDB from scratch. visits/op counts the sweeps'
+// edge visits per op.
+func BenchmarkDynamicRepair(b *testing.B) {
+	ctx := context.Background()
+	g := benchScaledGraph(b, 100_000)
+	for _, n := range []int{1, 16, 64} {
+		b.Run(fmt.Sprintf("%dedits", n), func(b *testing.B) {
+			dyn, err := ugs.NewDynamic(ctx, g, 0.3, ugs.DynOptions{Method: ugs.MethodGDB, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(100 + n)))
+			visits := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				batch := randomEditBatch(rng, dyn.Graph(), n)
+				b.StartTimer()
+				st, err := dyn.Repair(ctx, batch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				visits += st.EdgeVisits
+			}
+			b.ReportMetric(float64(visits)/float64(b.N), "visits/op")
+		})
+		b.Run(fmt.Sprintf("%dedits/scratch", n), func(b *testing.B) {
+			sp, err := ugs.Lookup("gdb", ugs.WithSeed(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(200 + n)))
+			visits := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				batch := randomEditBatch(rng, g, n)
+				b.StartTimer()
+				res, err := ugs.ApplyEdits(g, batch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				out, err := sp.Sparsify(ctx, res.Graph, 0.3)
+				if err != nil {
+					b.Fatal(err)
+				}
+				visits += out.Stats.EdgeVisits
+			}
+			b.ReportMetric(float64(visits)/float64(b.N), "visits/op")
+		})
+	}
+}
+
 func BenchmarkSparsifyEMD(b *testing.B) {
 	g := benchGraph(b)
 	for i := 0; i < b.N; i++ {

@@ -165,98 +165,6 @@ func main() {
 		)
 	}
 
-	// Dynamic-graph benchmarks: incremental repair versus from-scratch
-	// re-sparsification after an edit batch, the trade the PATCH endpoint
-	// lives on. Each repair iteration draws a fresh random batch — reweights
-	// plus, for multi-edit batches, one delete and one insert so the
-	// structural remap path is exercised — applies it to a persistent
-	// Dynamic and re-converges; the /scratch ablation patches the base
-	// graph and runs the full GDB pipeline on the result. Quick mode
-	// shrinks the fixture from 100k to 10k edges.
-	repairEdges := 100_000
-	if *quick {
-		repairEdges = 10_000
-	}
-	rg, err := ugs.GenerateSocial(ugs.SocialConfig{N: repairEdges / 10, AvgDegree: 20, MeanProb: 0.09, Seed: 7})
-	if err != nil {
-		fatal(err)
-	}
-	randomEditBatch := func(rng *rand.Rand, g *ugs.Graph, size int) []ugs.EdgeEdit {
-		edges := g.Edges()
-		picked := make(map[int]bool, size)
-		ids := make([]int, 0, size)
-		for len(ids) < size {
-			id := rng.Intn(len(edges))
-			if !picked[id] {
-				picked[id] = true
-				ids = append(ids, id)
-			}
-		}
-		edits := make([]ugs.EdgeEdit, 0, size)
-		for i, id := range ids {
-			e := edges[id]
-			switch {
-			case size >= 2 && i == 0:
-				edits = append(edits, ugs.EdgeEdit{Op: ugs.EditDelete, U: e.U, V: e.V})
-			case size >= 2 && i == 1:
-				// Replace the reweight with an insert at a pair absent from
-				// g (and therefore distinct from every other batch entry).
-				for {
-					u, v := rng.Intn(g.NumVertices()), rng.Intn(g.NumVertices())
-					if u == v {
-						continue
-					}
-					if _, exists := g.EdgeID(u, v); exists {
-						continue
-					}
-					edits = append(edits, ugs.EdgeEdit{Op: ugs.EditInsert, U: u, V: v, P: 0.05 + 0.9*rng.Float64()})
-					break
-				}
-			default:
-				edits = append(edits, ugs.EdgeEdit{Op: ugs.EditReweight, U: e.U, V: e.V, P: 0.05 + 0.9*rng.Float64()})
-			}
-		}
-		return edits
-	}
-	scratchSp, err := ugs.Lookup("gdb", ugs.WithSeed(1))
-	if err != nil {
-		fatal(err)
-	}
-	for _, nEdits := range []int{1, 16, 64} {
-		nEdits := nEdits
-		dyn, err := core.NewDynamic(ctx, rg, 0.3, core.DynOptions{Method: core.MethodGDB, Seed: 1})
-		if err != nil {
-			fatal(err)
-		}
-		repairRng := rand.New(rand.NewSource(int64(100 + nEdits)))
-		scratchRng := rand.New(rand.NewSource(int64(200 + nEdits)))
-		name := fmt.Sprintf("RepairVsScratch/%dedits", nEdits)
-		benches = append(benches,
-			struct {
-				name string
-				fn   func()
-			}{name, func() {
-				batch := randomEditBatch(repairRng, dyn.Graph(), nEdits)
-				if _, err := dyn.Repair(ctx, batch); err != nil {
-					fatal(err)
-				}
-			}},
-			struct {
-				name string
-				fn   func()
-			}{name + "/scratch", func() {
-				batch := randomEditBatch(scratchRng, rg, nEdits)
-				res, err := ugs.ApplyEdits(rg, batch)
-				if err != nil {
-					fatal(err)
-				}
-				if _, err := scratchSp.Sparsify(ctx, res.Graph, 0.3); err != nil {
-					fatal(err)
-				}
-			}},
-		)
-	}
-
 	// Query-side benchmarks: the Monte-Carlo sampling primitives (scalar
 	// world and lane-transposed 64-world batch) and the full RL / SP /
 	// connectivity estimators. Each estimator runs the default bit-parallel

@@ -50,8 +50,9 @@ type tracker struct {
 	curDeg     []float64 // d_u(G') under current probabilities
 	cur        []float64 // current probability per original edge id
 	inBackbone []bool
-	nBackbone  int     // backbone cardinality (swaps keep it constant)
-	missing    float64 // Σ_e p_G(e) − p_cur(e) over all original edges
+	nBackbone  int       // backbone cardinality (swaps keep it constant)
+	missing    float64   // Σ_e p_G(e) − p_cur(e) over all original edges
+	degBuf     []float64 // resyncAfterEdits' buffer for rebuilding curDeg
 
 	d1Abs, d1Rel float64 // incrementally maintained Σ_u δ²(u) per objective
 }

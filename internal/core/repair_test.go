@@ -18,13 +18,13 @@ import (
 
 // The differential gate of the dynamic sparsifier: after every edit batch,
 // the incrementally repaired state must equal — backbone edge set identical,
-// probabilities within 1e-9 (bit-equal in practice) — a from-scratch replay
-// of the same pipeline state: rebuild the post-edit graph independently,
-// carry each surviving edge's probability by endpoint pair, apply the same
-// deterministic backbone-maintenance rule, build a fresh tracker and run the
-// same capped sweeps. Any bug in Repair's carry of per-edge state across the
-// edit, any drift in its accumulator resync, or any divergence in its
-// maintenance rule breaks the comparison.
+// probabilities, objective and per-vertex accumulators bit-equal — a
+// from-scratch replay of the same pipeline state: rebuild the post-edit
+// graph independently, carry each surviving edge's probability by endpoint
+// pair, apply the same deterministic backbone-maintenance rule, build a
+// fresh tracker and run the same capped sweeps. Any bug in Repair's carry of
+// per-edge state across the edit, any drift in its accumulator resync, or
+// any divergence in its maintenance rule breaks the comparison.
 
 func repairKey(u, v int) uint64 {
 	if u > v {
@@ -253,24 +253,67 @@ func assertRepairedEqualsScratch(t *testing.T, tag string, d *Dynamic, g *ugraph
 		}
 	}
 	for _, id := range bb {
-		if diff := math.Abs(d.Prob(id) - tr.cur[id]); diff > 1e-9 {
+		if math.Float64bits(d.Prob(id)) != math.Float64bits(tr.cur[id]) {
 			e := g.Edge(id)
-			t.Fatalf("%s: edge %d (%d-%d): repaired p=%.17g scratch p=%.17g (diff %g)",
-				tag, id, e.U, e.V, d.Prob(id), tr.cur[id], diff)
+			t.Fatalf("%s: edge %d (%d-%d): repaired p=%.17g scratch p=%.17g",
+				tag, id, e.U, e.V, d.Prob(id), tr.cur[id])
 		}
 	}
-	if dg, ds := d.ObjectiveD1(), tr.objectiveD1(d.opts.Discrepancy); math.Abs(dg-ds) > 1e-9 {
+	if dg, ds := d.ObjectiveD1(), tr.objectiveD1(d.opts.Discrepancy); math.Float64bits(dg) != math.Float64bits(ds) {
 		t.Fatalf("%s: objective %.17g != scratch %.17g", tag, dg, ds)
+	}
+	for _, acc := range []struct {
+		name          string
+		repaired, ref []float64
+	}{
+		{"origDeg", d.t.origDeg, tr.origDeg},
+		{"curDeg", d.t.curDeg, tr.curDeg},
+		{"invSq", d.t.invSq, tr.invSq},
+	} {
+		for u := range acc.ref {
+			if math.Float64bits(acc.repaired[u]) != math.Float64bits(acc.ref[u]) {
+				t.Fatalf("%s: %s[%d]: repaired %.17g, scratch %.17g", tag, acc.name, u, acc.repaired[u], acc.ref[u])
+			}
+		}
 	}
 }
 
+// shrinkBatch draws a batch over existing edges only, each deleted or
+// reweighted with equal odds, so the edge set and with it the backbone
+// budget shrink (randomBatch's draws are mostly inserts on a sparse graph).
+func shrinkBatch(rng *rand.Rand, recs []refEdge, size int) []ugraph.EdgeEdit {
+	picked := make(map[int]bool, size)
+	var batch []ugraph.EdgeEdit
+	for len(batch) < size && len(picked) < len(recs) {
+		i := rng.Intn(len(recs))
+		if picked[i] {
+			continue
+		}
+		picked[i] = true
+		r := recs[i]
+		if rng.Intn(2) == 0 {
+			batch = append(batch, ugraph.EdgeEdit{Op: ugraph.EditDelete, U: r.u, V: r.v})
+		} else {
+			batch = append(batch, ugraph.EdgeEdit{Op: ugraph.EditReweight, U: r.u, V: r.v, P: 0.02 + 0.98*rng.Float64()})
+		}
+	}
+	return batch
+}
+
 // TestRepairMatchesScratch is the differential suite proper: {gdb, emd} ×
-// {Absolute, Relative} × a sequence of randomized edit batches spanning
-// sizes 1..64 (inserts, deletes, reweights mixed).
+// {Absolute, Relative} × a stream of randomized edit batches (inserts,
+// deletes, reweights mixed): ten of sizes 1..64, then 48 cycling through 1,
+// 16 and 64 edits, alternating three growing batches with three shrinking
+// ones, so that refills and evictions both recur.
 func TestRepairMatchesScratch(t *testing.T) {
 	base := dynamicTestGraph(t)
 	ctx := context.Background()
 	sizes := []int{1, 2, 3, 7, 16, 33, 64, 5, 24, 1}
+	for i := 0; i < 48; i++ {
+		sizes = append(sizes, []int{1, 16, 64}[i%3])
+	}
+	// shrinking reports whether batch step draws from shrinkBatch.
+	shrinking := func(step int) bool { return step >= 10 && (step-10)/3%2 == 1 }
 	for _, method := range []Method{MethodGDB, MethodEMD} {
 		for _, dt := range []Discrepancy{Absolute, Relative} {
 			t.Run(fmt.Sprintf("%v_%v", method, dt), func(t *testing.T) {
@@ -283,7 +326,12 @@ func TestRepairMatchesScratch(t *testing.T) {
 				ref := newScratchPipeline(d)
 				rng := rand.New(rand.NewSource(int64(97 + 13*int(method) + int(dt))))
 				for step, size := range sizes {
-					batch := randomBatch(rng, ref.n, ref.recs, size)
+					var batch []ugraph.EdgeEdit
+					if shrinking(step) {
+						batch = shrinkBatch(rng, ref.recs, size)
+					} else {
+						batch = randomBatch(rng, ref.n, ref.recs, size)
+					}
 					if _, err := d.Repair(ctx, batch); err != nil {
 						t.Fatalf("batch %d (%d edits): %v", step, size, err)
 					}

@@ -67,6 +67,59 @@ func TestMappedSparsifyEquivalence(t *testing.T) {
 	}
 }
 
+// TestMappedDynamicEquivalence builds a Dynamic over a heap graph and over
+// its memory-mapped binary copy, for both discrepancies, and applies the
+// same stream of edit batches to both: a reweight-only batch first (the
+// mapped side's first repair copies the mapped graph), then batches of 1,
+// 16 and 64 edits. Every RepairStats and every sparsified graph must be
+// equal. The repair's resync sums expected degrees over CSR rows, so this
+// also checks that a graph read from a file lists its rows in the order
+// the in-memory build does.
+func TestMappedDynamicEquivalence(t *testing.T) {
+	g := ugs.FlickrLike(300, 7)
+	m := openMappedCopy(t, g)
+	ctx := context.Background()
+	for _, dt := range []ugs.Discrepancy{ugs.Absolute, ugs.Relative} {
+		t.Run(dt.String(), func(t *testing.T) {
+			opts := ugs.DynOptions{Method: ugs.MethodGDB, Discrepancy: dt, Seed: 5}
+			hd, err := ugs.NewDynamic(ctx, g, 0.3, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			md, err := ugs.NewDynamic(ctx, m, 0.3, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(17))
+			for step, size := range []int{1, 16, 64, 1, 16, 64, 1, 16, 64} {
+				batch := randomEditBatch(rng, hd.Graph(), size)
+				hs, err := hd.Repair(ctx, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms, err := md.Repair(ctx, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *hs != *ms {
+					t.Fatalf("batch %d (%d edits): heap %+v, mapped %+v", step, size, *hs, *ms)
+				}
+				hg, err := hd.Sparsified()
+				if err != nil {
+					t.Fatal(err)
+				}
+				mg, err := md.Sparsified()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !hg.Equal(mg) {
+					t.Fatalf("batch %d (%d edits): heap and mapped sparsified graphs differ", step, size)
+				}
+			}
+		})
+	}
+}
+
 // TestMappedQueryEquivalence checks that the Monte-Carlo estimators are
 // bit-identical over heap and mapped views of the same graph.
 func TestMappedQueryEquivalence(t *testing.T) {
