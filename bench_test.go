@@ -3,9 +3,10 @@ package ugs_test
 // The benchmark harness: one testing.B benchmark per table and figure of
 // the paper's evaluation (each regenerates the experiment at CI scale —
 // run `go run ./cmd/ugs-exp -full <id>` for paper-scale numbers), plus the
-// ablation benchmarks called out in DESIGN.md and micro-benchmarks of the
-// hot paths. Sparsifiers are resolved through the registry API
-// (ugs.Lookup + functional options) — the same path production callers use.
+// ablation benchmarks and micro-benchmarks of the hot paths described in
+// README's "Performance" section. Sparsifiers are resolved through the
+// registry API (ugs.Lookup + functional options) — the same path production
+// callers use.
 
 import (
 	"context"
@@ -71,7 +72,7 @@ func benchSparsify(b *testing.B, g *ugs.Graph, alpha float64, name string, opts 
 	return res.Graph
 }
 
-// ---- Ablation benchmarks (design choices called out in DESIGN.md) ----
+// ---- Ablation benchmarks ----
 
 // BenchmarkAblationBackbone compares the two backbone constructions feeding
 // the same GDB optimizer at small α, where the paper observes the spanning
@@ -429,23 +430,33 @@ func BenchmarkClusteringPerWorld(b *testing.B) {
 	}
 }
 
+// BenchmarkReliabilityMC times the reliability estimator over a heap graph
+// and over its memory-mapped .ugsb copy. After open the engine reads the
+// same CSR layout from different pages, so the two rows should match.
 func BenchmarkReliabilityMC(b *testing.B) {
 	g := benchGraph(b)
 	pairs := ugs.RandomPairs(g.NumVertices(), 50, rand.New(rand.NewSource(1)))
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ugs.Reliability(ctx, g, pairs, mc.Options{Samples: 50, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
+	for _, in := range []struct {
+		name string
+		g    *ugs.Graph
+	}{{"heap", g}, {"mapped", openMappedCopy(b, g)}} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ugs.Reliability(ctx, in.g, pairs, mc.Options{Samples: 50, Seed: int64(i)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkAblationQueryEngine compares the bit-parallel 64-world batch
 // engine against the scalar one-world-per-traversal path on the RL, SP and
-// connectivity estimators (the PR 4 query-path ablation; estimates are
-// bit-identical, only traversal count differs).
+// connectivity estimators (estimates are bit-identical, only traversal
+// count differs), then the engine's other choices: lane width, source
+// fan-out and sequential stopping.
 func BenchmarkAblationQueryEngine(b *testing.B) {
 	g := benchGraph(b)
 	pairs := ugs.RandomPairs(g.NumVertices(), 50, rand.New(rand.NewSource(1)))
@@ -477,8 +488,7 @@ func BenchmarkAblationQueryEngine(b *testing.B) {
 			}
 		})
 	}
-	// Wide-lane widths on a budget large enough to fill 256 lanes, plus the
-	// sequential-stopping schedule against the fixed default.
+	// Wide-lane widths on a budget large enough to fill 256 lanes.
 	for _, lanes := range []int{64, 256} {
 		opts := mc.Options{Samples: 512, Seed: 1, Lanes: lanes}
 		b.Run(fmt.Sprintf("reliability/512x%d", lanes), func(b *testing.B) {
@@ -489,14 +499,58 @@ func BenchmarkAblationQueryEngine(b *testing.B) {
 			}
 		})
 	}
-	b.Run("reliability/adaptive", func(b *testing.B) {
-		opts := mc.Options{Seed: 1, Target: mc.WithConfidence(0.1, 0.05)}
-		for i := 0; i < b.N; i++ {
-			if _, _, err := ugs.ReliabilityRun(ctx, g, pairs, opts); err != nil {
-				b.Fatal(err)
-			}
+	// One SP+RL query whose pairs carry many distinct sources, each with one
+	// target, at the scalar width, where grouping pays most and no pair
+	// search runs: fan-out auto groups up to 64 sources per traversal of a
+	// sampled world, /persource is the FanOut: 1 ablation.
+	for _, np := range []int{16, 256} {
+		nv := g.NumVertices()
+		many := make([]ugs.Pair, np)
+		for i := range many {
+			many[i] = ugs.Pair{S: i % nv, T: (i + nv/2) % nv}
 		}
-	})
+		for _, v := range []struct {
+			suffix string
+			fanOut int
+		}{{"", 0}, {"/persource", 1}} {
+			opts := mc.Options{Samples: 64, Seed: 1, Lanes: 1, FanOut: v.fanOut}
+			b.Run(fmt.Sprintf("multipair/%dpairs%s", np, v.suffix), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, _, err := ugs.ShortestDistanceAndReliability(ctx, g, many, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+	// Sequential stopping against the fixed default budget of 500 samples.
+	// samples/op is the number of worlds a run drew, the quantity the
+	// adaptive schedule saves.
+	for _, v := range []struct {
+		name      string
+		connected bool
+		opts      mc.Options
+	}{
+		{"reliability/adaptive", false, mc.Options{Seed: 1, Target: mc.WithConfidence(0.1, 0.05)}},
+		{"reliability/fixed", false, mc.Options{Seed: 1}},
+		{"connected/adaptive", true, mc.Options{Seed: 1, Target: mc.WithConfidence(0.05, 0.05)}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			var info mc.RunInfo
+			var err error
+			for i := 0; i < b.N; i++ {
+				if v.connected {
+					_, info, err = ugs.ConnectedProbabilityRun(ctx, g, v.opts)
+				} else {
+					_, info, err = ugs.ReliabilityRun(ctx, g, pairs, v.opts)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(info.Samples), "samples/op")
+		})
+	}
 }
 
 // BenchmarkAblationStratified compares plain and stratified Monte-Carlo at

@@ -233,6 +233,23 @@ func TestInProcessExitCodes(t *testing.T) {
 	if code, out, _ := runTool(t, cli.RunExp, "-list"); code != 0 || !strings.Contains(out, "table1") {
 		t.Errorf("ugs-exp -list: exit %d, out %q", code, out)
 	}
+	// NaN passes a range check written as two comparisons.
+	if code, _, _ := runTool(t, cli.RunExp, "-confidence", "0.1,NaN", "fig10"); code != 2 {
+		t.Errorf("ugs-exp -confidence 0.1,NaN: exit %d, want 2", code)
+	}
+	// Byte sizes whose suffix product overflows int64 (to -2^63 and to 0).
+	// The context is already cancelled, so a server that accepts the flag
+	// shuts down at once and exits 0 instead of serving.
+	stopped, cancel := context.WithCancel(context.Background())
+	cancel()
+	serveStopped := func(args []string, stdout, stderr io.Writer) int {
+		return cli.RunServeContext(stopped, args, stdout, stderr)
+	}
+	for _, arg := range [][2]string{{"-max-cost", "8589934592G"}, {"-world-cache", "17179869184G"}} {
+		if code, _, errOut := runTool(t, serveStopped, "-addr", "127.0.0.1:0", arg[0], arg[1]); code != 2 || !strings.Contains(errOut, arg[1]) {
+			t.Errorf("ugs-serve %s %s: exit %d, want 2 with the input quoted; stderr %q", arg[0], arg[1], code, errOut)
+		}
+	}
 }
 
 var (

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -92,23 +93,24 @@ func humanBytes(b int64) string {
 }
 
 // parseBytes parses a byte size with an optional K/M/G binary suffix
-// ("512M", "2G", "1048576"). Empty means 0.
+// ("512M", "2G", "1048576"). Empty means 0; a size above math.MaxInt64
+// bytes is an error.
 func parseBytes(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
+	num := strings.TrimSpace(s)
+	if num == "" {
 		return 0, nil
 	}
 	mult := int64(1)
-	switch s[len(s)-1] {
+	switch num[len(num)-1] {
 	case 'k', 'K':
-		mult, s = 1<<10, s[:len(s)-1]
+		mult, num = 1<<10, num[:len(num)-1]
 	case 'm', 'M':
-		mult, s = 1<<20, s[:len(s)-1]
+		mult, num = 1<<20, num[:len(num)-1]
 	case 'g', 'G':
-		mult, s = 1<<30, s[:len(s)-1]
+		mult, num = 1<<30, num[:len(num)-1]
 	}
-	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil || v < 0 {
+	v, err := strconv.ParseInt(strings.TrimSpace(num), 10, 64)
+	if err != nil || v < 0 || v > math.MaxInt64/mult {
 		return 0, fmt.Errorf("bad byte size %q (want e.g. 512M, 2G)", s)
 	}
 	return v * mult, nil

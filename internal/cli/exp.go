@@ -18,28 +18,29 @@ import (
 
 // parseConfidence parses a -confidence flag value "eps" or "eps,delta"
 // into a sequential-stopping target (eps half-width at confidence
-// 1−delta; delta defaults to 0.05). Empty means no target.
-func parseConfidence(s string) (eps, delta float64, ok bool, err error) {
+// 1−delta; delta defaults to 0.05) and checks it, with the engine width,
+// by the rule the estimators apply. Empty means no target (eps 0).
+func parseConfidence(s string, lanes int) (eps, delta float64, err error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return 0, 0, false, nil
+		return 0, 0, nil
 	}
 	parts := strings.Split(s, ",")
 	if len(parts) > 2 {
-		return 0, 0, false, fmt.Errorf("want \"eps\" or \"eps,delta\", got %q", s)
+		return 0, 0, fmt.Errorf("want \"eps\" or \"eps,delta\", got %q", s)
 	}
 	if eps, err = strconv.ParseFloat(strings.TrimSpace(parts[0]), 64); err != nil {
-		return 0, 0, false, fmt.Errorf("eps: %v", err)
+		return 0, 0, fmt.Errorf("eps: %v", err)
 	}
 	if len(parts) == 2 {
 		if delta, err = strconv.ParseFloat(strings.TrimSpace(parts[1]), 64); err != nil {
-			return 0, 0, false, fmt.Errorf("delta: %v", err)
+			return 0, 0, fmt.Errorf("delta: %v", err)
 		}
 	}
-	if !(eps > 0 && eps < 1) || delta < 0 || delta >= 1 {
-		return 0, 0, false, fmt.Errorf("eps %v outside (0,1) or delta %v outside [0,1)", eps, delta)
+	if err := (ugs.MCOptions{Lanes: lanes, Target: ugs.WithConfidence(eps, delta)}).Validate(); err != nil {
+		return 0, 0, err
 	}
-	return eps, delta, true, nil
+	return eps, delta, nil
 }
 
 // RunExp is the ugs-exp command: regenerate the paper's tables and figures
@@ -70,13 +71,9 @@ func RunExp(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ugs-exp: -fan-out:", err)
 		return 2
 	}
-	confEps, confDelta, confSet, err := parseConfidence(*conf)
+	confEps, confDelta, err := parseConfidence(*conf, laneWidth)
 	if err != nil {
 		fmt.Fprintln(stderr, "ugs-exp: -confidence:", err)
-		return 2
-	}
-	if confSet && laneWidth == 1 {
-		fmt.Fprintln(stderr, "ugs-exp: -confidence requires the batch engine; drop -lanes 1")
 		return 2
 	}
 

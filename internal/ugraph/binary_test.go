@@ -182,8 +182,8 @@ func TestBinaryRoundTripSampling(t *testing.T) {
 		seeds[i] = int64(i) * 7
 	}
 	bg, bm := NewWorldBatch[Vec64](g), NewWorldBatch[Vec64](m)
-	g.SampleBatchSeeded(seeds, bg)
-	m.SampleBatchSeeded(seeds, bm)
+	SampleBatchSeeded(g, seeds, bg)
+	SampleBatchSeeded(m, seeds, bm)
 	for id := 0; id < g.NumEdges(); id++ {
 		if bg.LaneMask(id) != bm.LaneMask(id) {
 			t.Fatalf("batch edge %d: %x != %x", id, bg.LaneMask(id), bm.LaneMask(id))

@@ -148,12 +148,6 @@ func SampleBatchSeeded[V Vec](g *Graph, seeds []int64, b *WorldBatch[V]) {
 	}
 }
 
-// SampleBatchSeeded is the 64-lane method form kept for the common width;
-// wider batches use the package-level generic function.
-func (g *Graph) SampleBatchSeeded(seeds []int64, b *WorldBatch[Vec64]) {
-	SampleBatchSeeded(g, seeds, b)
-}
-
 // FillBlock samples one 64-lane mask block without a batch: bit l of dst[e]
 // is the presence of edge e in the world SampleWorldSeeded(seeds[l]) draws.
 // len(seeds) must be 1..64 and len(dst) == NumEdges; bits at or above

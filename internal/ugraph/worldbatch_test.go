@@ -110,7 +110,7 @@ func TestSampleBatchSeededInactiveLanesStayZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomBatchGraph(rng, 20, 0.5)
 	b := NewWorldBatch[Vec64](g)
-	g.SampleBatchSeeded([]int64{1, 2, 3}, b)
+	SampleBatchSeeded(g, []int64{1, 2, 3}, b)
 	if b.ActiveMask() != (Vec64{0b111}) {
 		t.Fatalf("ActiveMask = %b, want 111", b.ActiveMask())
 	}
@@ -151,8 +151,8 @@ func TestSampleBatchSeededDoesNotAllocate(t *testing.T) {
 	for l := range seeds {
 		seeds[l] = int64(l + 1)
 	}
-	g.SampleBatchSeeded(seeds, b)
-	if allocs := testing.AllocsPerRun(20, func() { g.SampleBatchSeeded(seeds, b) }); allocs != 0 {
+	SampleBatchSeeded(g, seeds, b)
+	if allocs := testing.AllocsPerRun(20, func() { SampleBatchSeeded(g, seeds, b) }); allocs != 0 {
 		t.Errorf("SampleBatchSeeded allocates %.1f per call, want 0", allocs)
 	}
 	wide := NewWorldBatch[Vec256](g)
@@ -175,7 +175,7 @@ func TestSampleBatchSeededPanicsOnBadLaneCount(t *testing.T) {
 					t.Errorf("SampleBatchSeeded(%d seeds) did not panic", len(seeds))
 				}
 			}()
-			g.SampleBatchSeeded(seeds, NewWorldBatch[Vec64](g))
+			SampleBatchSeeded(g, seeds, NewWorldBatch[Vec64](g))
 		}()
 	}
 	func() {

@@ -11,18 +11,53 @@ import (
 
 // openMappedCopy round-trips g through the .ugsb binary format and opens
 // the file as a read-only mapped graph.
-func openMappedCopy(t *testing.T, g *ugs.Graph) *ugs.Graph {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "g.ugsb")
+func openMappedCopy(tb testing.TB, g *ugs.Graph) *ugs.Graph {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "g.ugsb")
 	if err := ugs.WriteBinaryGraphFile(path, g); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	m, err := ugs.OpenMappedGraph(path)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { m.Close() })
+	tb.Cleanup(func() { m.Close() })
 	return m
+}
+
+// BenchmarkLoad times loading the benchmark fixture from the text format
+// (parse and CSR build) against opening its .ugsb copy as a memory mapping,
+// deep-validated and header-only.
+func BenchmarkLoad(b *testing.B) {
+	g := benchGraph(b)
+	dir := b.TempDir()
+	text, bin := filepath.Join(dir, "g.ugs"), filepath.Join(dir, "g.ugsb")
+	if err := ugs.WriteGraphFile(text, g); err != nil {
+		b.Fatal(err)
+	}
+	if err := ugs.WriteBinaryGraphFile(bin, g); err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range []struct {
+		name string
+		path string
+		load func(string) (*ugs.Graph, error)
+	}{
+		{"text", text, ugs.ReadGraphFile},
+		{"mapped", bin, ugs.OpenMappedGraph},
+		{"mapped-trusted", bin, ugs.OpenMappedGraphTrusted},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lg, err := v.load(v.path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				lg.Close()
+			}
+		})
+	}
 }
 
 // TestMappedSparsifyEquivalence runs every registered sparsifier over a

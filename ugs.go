@@ -74,8 +74,7 @@ type (
 	Vec256 = ugraph.Vec256
 	// WorldBatch holds up to VecLanes[V] sampled worlds in lane-transposed
 	// form (one lane mask per edge), the representation behind the
-	// bit-parallel query engine. Fill it with SampleWorldBatch (or
-	// Graph.SampleBatchSeeded at the 64-lane width).
+	// bit-parallel query engine. Fill it with SampleWorldBatch.
 	WorldBatch[V Vec] = ugraph.WorldBatch[V]
 	// MaskBFS is the reusable bit-parallel traversal over a WorldBatch:
 	// one pass answers reachability and hop distance for every lane.
