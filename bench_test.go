@@ -228,18 +228,24 @@ func benchScaledBackbone(b *testing.B, g *ugs.Graph) []int {
 // BenchmarkGDBSweep measures the GDB sweep engine (tracker construction +
 // sweeps to convergence + finalize) on a prebuilt backbone at |E| ≈ 10k and
 // 100k, isolating the Algorithm 2 hot path from backbone construction.
+// ns/visit divides the time by the sweeps' edge visits, Iterations ×
+// |backbone|; the set-up and finalize around the sweeps are included.
 func BenchmarkGDBSweep(b *testing.B) {
 	for _, edges := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("E%dk", edges/1000), func(b *testing.B) {
 			g := benchScaledGraph(b, edges)
 			backbone := benchScaledBackbone(b, g)
+			visits := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.GDB(context.Background(), g, backbone, core.GDBOptions{}); err != nil {
+				_, st, err := core.GDB(context.Background(), g, backbone, core.GDBOptions{})
+				if err != nil {
 					b.Fatal(err)
 				}
+				visits += st.EdgeVisits
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visits), "ns/visit")
 		})
 	}
 }

@@ -111,7 +111,10 @@ type RunStats struct {
 // assignment would increase the edge's entropy apply only the fraction h of
 // the step. The degree rule (k = 1) runs in degreeSweep, a loop with no call
 // and no data-dependent branch; the k ≠ 1 cut rules run in cutSweep. Both
-// compute exactly what tracker.setProb would.
+// compute exactly what tracker.setProb would. Where the AVX-512 kernel runs
+// (hasDegreeKernel), the degree rule is ordered once per call into
+// vertex-disjoint levels and each sweep runs eight edges at a time through
+// it (levelSchedule), with bit-identical results.
 //
 // Convergence is decided on the O(1) incrementally-maintained objective;
 // when it signals convergence (and on MaxIters exhaustion) the objective is
@@ -120,6 +123,15 @@ func gdbSweeps(ctx context.Context, t *tracker, backbone []int, opts GDBOptions)
 	h := effectiveH(opts.H)
 	dt, k := opts.Discrepancy, opts.K
 	degreeRule := k == 1 && t.n > 1 // tracker.step's k = 1 case
+	var ls *levelSchedule
+	if degreeRule && hasDegreeKernel {
+		if ls = newLevelSchedule(t, backbone, minLanesPerBlock); ls != nil {
+			defer func() {
+				ls.writeBack(t)
+				levelPool.Put(ls)
+			}()
+		}
+	}
 	prev := t.objectiveD1(dt)
 	iters := 0
 	converged := false
@@ -127,9 +139,12 @@ func gdbSweeps(ctx context.Context, t *tracker, backbone []int, opts GDBOptions)
 		if err := ctx.Err(); err != nil {
 			return RunStats{}, err
 		}
-		if degreeRule {
+		switch {
+		case ls != nil:
+			ls.sweep(t, dt == Relative, h)
+		case degreeRule:
 			t.degreeSweep(backbone, dt == Relative, h)
-		} else {
+		default:
 			t.cutSweep(backbone, dt, k, h)
 		}
 		iters++

@@ -1,6 +1,10 @@
 package ugraph
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"ugs/internal/cpu"
+)
 
 // The kernel walks edge records at a 24-byte stride and reads P at offset
 // 16, the record that mapped graphs alias; these fail to compile if Edge
@@ -10,30 +14,8 @@ var (
 	_ = [1]struct{}{}[unsafe.Offsetof(Edge{}.P)-16]
 )
 
-// hasFillKernel reports whether fillLanes runs the AVX-512 kernel: the CPU
-// has AVX-512F and AVX-512DQ and the OS saves the opmask and ZMM state.
-var hasFillKernel = cpuHasAVX512FDQ()
-
-func cpuHasAVX512FDQ() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave = 1 << 27
-	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 {
-		return false // XGETBV would fault
-	}
-	const xmmYmmOpmaskZmm = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
-	if xgetbv0()&xmmYmmOpmaskZmm != xmmYmmOpmaskZmm {
-		return false
-	}
-	const avx512f, avx512dq = 1 << 16, 1 << 17
-	_, b, _, _ := cpuid(7, 0)
-	return b&(avx512f|avx512dq) == avx512f|avx512dq
-}
-
-func cpuid(leaf, sub uint32) (a, b, c, d uint32)
-
-func xgetbv0() uint32
+// hasFillKernel reports whether fillLanes runs the AVX-512 kernel.
+var hasFillKernel = cpu.HasAVX512FDQ
 
 //go:noescape
 func fillKernelAVX512(state *[BatchLanes]uint64, edges *Edge, n int, dst *uint64, stride int, keep uint64)
