@@ -95,7 +95,7 @@ func BenchmarkAblationBackbone(b *testing.B) {
 // naive global-scan formulation (Section 4.3's cost analysis).
 func BenchmarkAblationHeap(b *testing.B) {
 	g := benchGraph(b)
-	backbone, err := core.SpanningBackbone(g, 0.2, core.BGIOptions{}, rand.New(rand.NewSource(1)))
+	backbone, err := core.SpanningBackbone(g, 0.2, rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func benchScaledGraph(b *testing.B, edges int) *ugs.Graph {
 // benchScaledBackbone builds the α = 0.3 spanning backbone once per fixture.
 func benchScaledBackbone(b *testing.B, g *ugs.Graph) []int {
 	b.Helper()
-	backbone, err := core.SpanningBackbone(g, 0.3, core.BGIOptions{}, rand.New(rand.NewSource(1)))
+	backbone, err := core.SpanningBackbone(g, 0.3, rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatal(err)
 	}

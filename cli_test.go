@@ -237,15 +237,20 @@ func TestInProcessExitCodes(t *testing.T) {
 	if code, _, _ := runTool(t, cli.RunExp, "-confidence", "0.1,NaN", "fig10"); code != 2 {
 		t.Errorf("ugs-exp -confidence 0.1,NaN: exit %d, want 2", code)
 	}
-	// Byte sizes whose suffix product overflows int64 (to -2^63 and to 0).
-	// The context is already cancelled, so a server that accepts the flag
-	// shuts down at once and exits 0 instead of serving.
+	// Fan-outs other than auto, 1 and 8 are usage errors at flag parsing.
+	if code, _, errOut := runTool(t, cli.RunExp, "-fan-out", "4", "fig10"); code != 2 || !strings.Contains(errOut, "-fan-out") {
+		t.Errorf("ugs-exp -fan-out 4: exit %d, want 2; stderr %q", code, errOut)
+	}
+	// Byte sizes whose suffix product overflows int64 (to -2^63 and to 0),
+	// and a fan-out other than auto, 1 and 8. The context is already
+	// cancelled, so a server that accepts the flag shuts down at once and
+	// exits 0 instead of serving.
 	stopped, cancel := context.WithCancel(context.Background())
 	cancel()
 	serveStopped := func(args []string, stdout, stderr io.Writer) int {
 		return cli.RunServeContext(stopped, args, stdout, stderr)
 	}
-	for _, arg := range [][2]string{{"-max-cost", "8589934592G"}, {"-world-cache", "17179869184G"}} {
+	for _, arg := range [][2]string{{"-max-cost", "8589934592G"}, {"-world-cache", "17179869184G"}, {"-fan-out", "4"}} {
 		if code, _, errOut := runTool(t, serveStopped, "-addr", "127.0.0.1:0", arg[0], arg[1]); code != 2 || !strings.Contains(errOut, arg[1]) {
 			t.Errorf("ugs-serve %s %s: exit %d, want 2 with the input quoted; stderr %q", arg[0], arg[1], code, errOut)
 		}

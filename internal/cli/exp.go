@@ -55,7 +55,7 @@ func RunExp(args []string, stdout, stderr io.Writer) int {
 		workers = fs.Int("workers", 0, "Monte-Carlo parallelism (0 = GOMAXPROCS)")
 		timeout = fs.Duration("timeout", 0, "abort the batch after this duration, checked between sparsification runs (0 = unbounded)")
 		lanes   = fs.String("lanes", "auto", "batch-engine width: auto (fixed rule over query kind and sample budget), 1 (scalar one-world-per-traversal ablation), 64 or 256 world lanes; results are bit-identical at any width")
-		fanOut  = fs.String("fan-out", "auto", "source group size of pair-query source traversals (pairs whose source has few targets run pair searches instead): auto (fixed rule over lane width and distinct sources), 1 (per-source ablation) or 2..64 sources per traversal; results are bit-identical at any fan-out")
+		fanOut  = fs.String("fan-out", "auto", "source group size of pair-query source traversals (pairs whose source has few targets run pair searches instead): auto (fixed rule over lane width and distinct sources), 1 (per-source ablation) or 8 (groups of eight sources); results are bit-identical at any fan-out")
 		conf    = fs.String("confidence", "", "adaptive stopping target \"eps[,delta]\" for the pair estimators: sample until every CI half-width ≤ eps at confidence 1−delta (empty = fixed budgets)")
 	)
 	if err := fs.Parse(args); err != nil {

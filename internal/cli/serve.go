@@ -46,7 +46,7 @@ func RunServeContext(ctx context.Context, args []string, stdout, stderr io.Write
 		convertDir  = fs.String("convert-dir", "", "directory for .ugsb sidecars of converted text graphs and uploads (default: a temp dir)")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for requests and jobs")
 		lanes       = fs.String("lanes", "auto", "default query engine width: auto (fixed rule over query kind and sample budget), 1 (scalar ablation), 64 or 256 world lanes")
-		fanOut      = fs.String("fan-out", "auto", "default source group size of pair-query source traversals (pairs whose source has few targets run pair searches instead): auto (fixed rule over lane width and distinct sources), 1 (per-source ablation) or 2..64 sources per traversal")
+		fanOut      = fs.String("fan-out", "auto", "default source group size of pair-query source traversals (pairs whose source has few targets run pair searches instead): auto (fixed rule over lane width and distinct sources), 1 (per-source ablation) or 8 (groups of eight sources)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this side listener (e.g. localhost:6060; empty = disabled)")
 		worldCache  = fs.String("world-cache", "64M", "sampled-world cache budget with K/M/G suffixes (0 disables); a block is kept from its second request")
 		reqTimeout  = fs.Duration("request-timeout", 0, "per-request wall-clock cap for queries and sparsifications (0 = unbounded; a request's timeout_ms can only tighten it)")

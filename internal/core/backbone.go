@@ -55,43 +55,33 @@ func validateAlpha(g *ugraph.Graph, alpha float64) (int, error) {
 	return target, nil
 }
 
-// BGIOptions tunes Backbone Graph Initialization.
-type BGIOptions struct {
-	// SpanningFrac bounds the spanning phase at SpanningFrac·α·|E| edges
-	// (the paper's 0.5·α). Default 0.5.
-	SpanningFrac float64
-	// MaxForests bounds the number of maximum spanning forests peeled off
-	// (the paper uses the first six). Default 6.
-	MaxForests int
-}
-
-func (o *BGIOptions) defaults() {
-	if o.SpanningFrac == 0 {
-		o.SpanningFrac = 0.5
-	}
-	if o.MaxForests == 0 {
-		o.MaxForests = 6
-	}
-}
+// Bounds of BGI's spanning phase (Algorithm 1).
+const (
+	// spanningFrac bounds the spanning phase at spanningFrac·α·|E| edges
+	// (the paper's 0.5·α).
+	spanningFrac = 0.5
+	// maxForests bounds the number of maximum spanning forests peeled off
+	// (the paper uses the first six).
+	maxForests = 6
+)
 
 // SpanningBackbone implements Algorithm 1 (BGI). It returns the edge
 // identifiers of the backbone: maximum spanning forests are peeled off the
-// graph until min(SpanningFrac·α·|E|, MaxForests forests) edges are
+// graph until min(spanningFrac·α·|E|, maxForests forests) edges are
 // collected, and the remaining budget is filled by Bernoulli sampling the
 // leftover edges with their probabilities.
-func SpanningBackbone(g *ugraph.Graph, alpha float64, opts BGIOptions, rng *rand.Rand) ([]int, error) {
-	opts.defaults()
+func SpanningBackbone(g *ugraph.Graph, alpha float64, rng *rand.Rand) ([]int, error) {
 	target, err := validateAlpha(g, alpha)
 	if err != nil {
 		return nil, err
 	}
 
-	spanCap := int(math.Floor(opts.SpanningFrac * float64(target)))
+	spanCap := int(math.Floor(spanningFrac * float64(target)))
 	backbone := make([]int, 0, target)
 	in := make([]bool, g.NumEdges())
 
 	dec := mst.NewForestDecomposer(g)
-	for f := 0; f < opts.MaxForests && len(backbone) < spanCap; f++ {
+	for f := 0; f < maxForests && len(backbone) < spanCap; f++ {
 		forest := dec.NextForest()
 		if forest == nil {
 			break

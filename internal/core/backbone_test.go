@@ -59,7 +59,7 @@ func TestSpanningBackboneConnected(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomConnectedGraph(rng, 60, 0.2)
 	for _, alpha := range []float64{0.16, 0.32, 0.64} {
-		backbone, err := SpanningBackbone(g, alpha, BGIOptions{}, rng)
+		backbone, err := SpanningBackbone(g, alpha, rng)
 		if err != nil {
 			t.Fatalf("alpha=%v: %v", alpha, err)
 		}
@@ -81,11 +81,11 @@ func TestSpanningBackboneConnected(t *testing.T) {
 
 func TestSpanningBackboneDeterministicBySeed(t *testing.T) {
 	g := randomConnectedGraph(rand.New(rand.NewSource(2)), 40, 0.3)
-	a, err := SpanningBackbone(g, 0.3, BGIOptions{}, rand.New(rand.NewSource(7)))
+	a, err := SpanningBackbone(g, 0.3, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SpanningBackbone(g, 0.3, BGIOptions{}, rand.New(rand.NewSource(7)))
+	b, err := SpanningBackbone(g, 0.3, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestBackboneAlphaValidation(t *testing.T) {
 	g := randomConnectedGraph(rand.New(rand.NewSource(5)), 10, 0.5)
 	rng := rand.New(rand.NewSource(5))
 	for _, alpha := range []float64{0, -0.1, 1, 1.5} {
-		if _, err := SpanningBackbone(g, alpha, BGIOptions{}, rng); err == nil {
+		if _, err := SpanningBackbone(g, alpha, rng); err == nil {
 			t.Errorf("alpha=%v accepted", alpha)
 		}
 		if _, err := RandomBackbone(g, alpha, rng); err == nil {
@@ -150,7 +150,7 @@ func TestBackboneAlphaValidation(t *testing.T) {
 		}
 	}
 	// α so small the target rounds to zero edges.
-	if _, err := SpanningBackbone(g, 1e-9, BGIOptions{}, rng); err == nil {
+	if _, err := SpanningBackbone(g, 1e-9, rng); err == nil {
 		t.Error("α yielding zero edges accepted")
 	}
 }
@@ -160,7 +160,7 @@ func TestSpanningBackbonePropertySubsetAndSize(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnectedGraph(rng, 10+rng.Intn(30), 0.2+0.3*rng.Float64())
 		alpha := 0.2 + 0.6*rng.Float64()
-		backbone, err := SpanningBackbone(g, alpha, BGIOptions{}, rng)
+		backbone, err := SpanningBackbone(g, alpha, rng)
 		if err != nil {
 			return false
 		}

@@ -25,8 +25,6 @@ type EMDOptions struct {
 	Tau float64
 	// MaxRounds bounds the number of E+M rounds. Default 30.
 	MaxRounds int
-	// MPhaseIters bounds the GDB sweeps inside each M-phase. Default 50.
-	MPhaseIters int
 	// NaiveEPhase switches the E-phase to the paper's "intuitive
 	// approach": instead of consulting the vertex heap Hv, every
 	// candidate edge in E\E_b is scanned for the globally best gain.
@@ -49,10 +47,10 @@ func (o *EMDOptions) defaults(n int) {
 	if o.MaxRounds == 0 {
 		o.MaxRounds = 30
 	}
-	if o.MPhaseIters == 0 {
-		o.MPhaseIters = 50
-	}
 }
+
+// mPhaseSweeps bounds the GDB sweeps inside each EMD M-phase.
+const mPhaseSweeps = 50
 
 // EMD runs Expectation-Maximization Degree over the given backbone of g:
 // each round swaps backbone edges for higher-gain edges from E\E_b (E-phase,
@@ -90,7 +88,7 @@ func emdRun(ctx context.Context, t *tracker, bb *[]int, opts EMDOptions) (*RunSt
 		K:           1,
 		H:           opts.H,
 		Tau:         opts.Tau,
-		MaxIters:    opts.MPhaseIters,
+		MaxIters:    mPhaseSweeps,
 	}
 	mOpts.defaults(t.n)
 

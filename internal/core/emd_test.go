@@ -62,7 +62,7 @@ func TestEMDPreservesEdgeCountAndValidity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnectedGraph(rng, 8+rng.Intn(16), 0.25+0.35*rng.Float64())
 		alpha := 0.3 + 0.4*rng.Float64()
-		backbone, err := SpanningBackbone(g, alpha, BGIOptions{}, rng)
+		backbone, err := SpanningBackbone(g, alpha, rng)
 		if err != nil {
 			return false
 		}
@@ -99,7 +99,7 @@ func TestEMDGenerallyBeatsGDBOnDegreeMAE(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnectedGraph(rng, 40, 0.25)
-		backbone, err := SpanningBackbone(g, 0.4, BGIOptions{}, rng)
+		backbone, err := SpanningBackbone(g, 0.4, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestEMDNaiveEPhaseAlsoImproves(t *testing.T) {
 	// in 2. Both must keep the edge count and must not degrade D1.
 	rng := rand.New(rand.NewSource(77))
 	g := randomConnectedGraph(rng, 30, 0.3)
-	backbone, err := SpanningBackbone(g, 0.35, BGIOptions{}, rng)
+	backbone, err := SpanningBackbone(g, 0.35, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

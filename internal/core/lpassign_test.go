@@ -34,7 +34,7 @@ func TestLPAssignOptimalForL1(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnectedGraph(rng, 20, 0.35)
-		backbone, err := SpanningBackbone(g, 0.4, BGIOptions{}, rng)
+		backbone, err := SpanningBackbone(g, 0.4, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestLPAssignLemma1LegalVertices(t *testing.T) {
 	// the LP formulation enforces it as a hard constraint.
 	rng := rand.New(rand.NewSource(33))
 	g := randomConnectedGraph(rng, 18, 0.4)
-	backbone, err := SpanningBackbone(g, 0.35, BGIOptions{}, rng)
+	backbone, err := SpanningBackbone(g, 0.35, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestLPAssignLemma1LegalVertices(t *testing.T) {
 func TestLPAssignProbabilitiesInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	g := randomConnectedGraph(rng, 16, 0.4)
-	backbone, err := SpanningBackbone(g, 0.5, BGIOptions{}, rng)
+	backbone, err := SpanningBackbone(g, 0.5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,6 @@ type DynOptions struct {
 	RepairSweeps int
 	// Seed drives the initial backbone randomization.
 	Seed int64
-	// BGI tunes the spanning backbone construction.
-	BGI BGIOptions
 }
 
 func (o *DynOptions) defaults() {
@@ -110,7 +108,7 @@ func NewDynamic(ctx context.Context, g *ugraph.Graph, alpha float64, opts DynOpt
 	if opts.Method != MethodGDB && opts.Method != MethodEMD {
 		return nil, fmt.Errorf("core: dynamic sparsification supports gdb and emd only (got %v)", opts.Method)
 	}
-	backbone, err := BuildBackbone(g, alpha, Options{Backbone: opts.Backbone, Seed: opts.Seed, BGI: opts.BGI})
+	backbone, err := BuildBackbone(g, alpha, Options{Backbone: opts.Backbone, Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}

@@ -103,8 +103,6 @@ type Options struct {
 	// Progress, when non-nil, receives a RunStats snapshot after every
 	// GDB sweep, EMD round, or batch of LP pivots.
 	Progress func(RunStats)
-	// BGI tunes the spanning backbone construction.
-	BGI BGIOptions
 }
 
 // HZero requests a true h = 0 entropy parameter (a zero H field means
@@ -157,7 +155,7 @@ func BuildBackbone(g *ugraph.Graph, alpha float64, opts Options) ([]int, error) 
 	rng := rand.New(rand.NewSource(opts.Seed))
 	switch opts.Backbone {
 	case BackboneSpanning:
-		return SpanningBackbone(g, alpha, opts.BGI, rng)
+		return SpanningBackbone(g, alpha, rng)
 	case BackboneRandom:
 		return RandomBackbone(g, alpha, rng)
 	default:

@@ -33,8 +33,8 @@ type Config struct {
 	Lanes int
 	// FanOut pins the source group size of the pair estimators' source
 	// traversals (1 = one traversal per source, the per-source ablation;
-	// 2..64 = explicit multi-source groups); pairs routed to pair searches
-	// ignore it. 0 lets the planner choose; results are bit-identical at
+	// 8 = groups of eight sources); pairs routed to pair searches ignore
+	// it. 0 lets the planner choose; results are bit-identical at
 	// any fan-out.
 	FanOut int
 	// ConfEps, when > 0, switches the Monte-Carlo query phases to adaptive

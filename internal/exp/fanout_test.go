@@ -6,8 +6,8 @@ import (
 )
 
 // TestFig10FanOutIdentical reruns Figure 10 with the pair estimators forced
-// onto the per-source path (FanOut: 1) and with the full multi-source group
-// (FanOut: 64) and requires byte-identical tables: the source fan-out is an
+// onto the per-source path (FanOut: 1) and with multi-source groups of
+// eight (FanOut: 8) and requires byte-identical tables: the source fan-out is an
 // execution choice of the engine, never a result-space knob, so every figure
 // number the harness reports must be independent of it.
 func TestFig10FanOutIdentical(t *testing.T) {
@@ -27,8 +27,8 @@ func TestFig10FanOutIdentical(t *testing.T) {
 		return buf.String()
 	}
 	perSource := run(1)
-	grouped := run(64)
+	grouped := run(8)
 	if perSource != grouped {
-		t.Errorf("fig10 output differs between FanOut 1 and FanOut 64:\n--- per-source ---\n%s\n--- grouped ---\n%s", perSource, grouped)
+		t.Errorf("fig10 output differs between FanOut 1 and FanOut 8:\n--- per-source ---\n%s\n--- grouped ---\n%s", perSource, grouped)
 	}
 }

@@ -183,6 +183,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative offset", Options{Offset: -5}, ErrSampleCount},
 		{"bad lane width", Options{Lanes: 32}, ErrLaneWidth},
 		{"128 lanes", Options{Lanes: 128}, ErrLaneWidth},
+		{"fan-out 4", Options{FanOut: 4}, ErrSourceFanOut},
+		{"fan-out 64", Options{FanOut: 64}, ErrSourceFanOut},
+		{"negative fan-out", Options{FanOut: -1}, ErrSourceFanOut},
 		{"target with lanes 1", Options{Lanes: 1, Target: WithConfidence(0.05, 0.05)}, ErrScalarTarget},
 		{"eps zero", Options{Target: &Target{Eps: 0}}, ErrConfidence},
 		{"eps too big", Options{Target: &Target{Eps: 1.5}}, ErrConfidence},
@@ -196,7 +199,8 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	good := []Options{
 		{},
-		{Samples: 500, Lanes: 256, Workers: 3},
+		{Samples: 500, Lanes: 256, Workers: 3, FanOut: 8},
+		{Lanes: 64, FanOut: 1},
 		{Lanes: 1},
 		{Lanes: 64, Target: WithConfidence(0.02, 0.1)},
 	}
@@ -232,6 +236,28 @@ func TestParseFormatLanes(t *testing.T) {
 		back, err := ParseLanes(FormatLanes(lanes))
 		if err != nil || back != lanes {
 			t.Errorf("round-trip %d → %q → %d, %v", lanes, FormatLanes(lanes), back, err)
+		}
+	}
+}
+
+// TestParseFormatFanOut round-trips the flag encoding and rejects every
+// group size but 1 and 8.
+func TestParseFormatFanOut(t *testing.T) {
+	for s, want := range map[string]int{"": 0, "auto": 0, "1": 1, "8": 8} {
+		got, err := ParseFanOut(s)
+		if err != nil || got != want {
+			t.Errorf("ParseFanOut(%q) = %d, %v; want %d", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"0", "2", "4", "7", "9", "16", "64", "65", "wide", "-8"} {
+		if _, err := ParseFanOut(s); !errors.Is(err, ErrSourceFanOut) {
+			t.Errorf("ParseFanOut(%q) err = %v, want ErrSourceFanOut", s, err)
+		}
+	}
+	for _, fan := range []int{0, 1, 8} {
+		back, err := ParseFanOut(FormatFanOut(fan))
+		if err != nil || back != fan {
+			t.Errorf("round-trip %d → %q → %d, %v", fan, FormatFanOut(fan), back, err)
 		}
 	}
 }

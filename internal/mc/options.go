@@ -32,11 +32,13 @@ type Options struct {
 	// FanOut selects how many distinct query sources a pair estimator's
 	// source traversal carries at once: 0 is automatic (a fixed rule over
 	// the lane width and the distinct-source count), 1 forces one traversal
-	// per source (the per-source ablation), and 2..64 pin an explicit group
-	// size. It applies to source traversals only: at batch widths a pair
-	// whose source has few targets runs a pair search instead, whatever the
-	// fan-out. Like Lanes, it is an execution choice only — per-pair
-	// estimates are bit-identical across every fan-out.
+	// per source (the per-source ablation), and 8 pins groups of eight. At
+	// batch widths only 64 lanes group, and only full groups of eight, so
+	// there 8 plans as auto; on scalar worlds it pins groups of up to eight
+	// where auto groups up to 64. It applies to source traversals only: at
+	// batch widths a pair whose source has few targets runs a pair search
+	// instead, whatever the fan-out. Like Lanes, it is an execution choice
+	// only — per-pair estimates are bit-identical across every fan-out.
 	FanOut int
 	// Target, when non-nil, switches supporting estimators from the fixed
 	// Samples budget to sequential stopping: batches are drawn in
@@ -77,15 +79,10 @@ var (
 	// ErrConfidence rejects confidence targets with out-of-range Eps,
 	// Delta or an empty sample schedule.
 	ErrConfidence = errors.New("mc: invalid confidence target")
-	// ErrSourceFanOut rejects fan-outs outside {0 (auto), 1 (per-source),
-	// 2..64}: the multi-source kernels carry at most 64 sources per pass.
+	// ErrSourceFanOut rejects fan-outs other than 0 (auto), 1 (per-source)
+	// and 8, the one group size of the batch multi-source kernel.
 	ErrSourceFanOut = errors.New("mc: invalid source fan-out")
 )
-
-// MaxFanOut is the largest source group a multi-source traversal carries:
-// the scalar kernel packs sources into one 64-bit mask per vertex, and the
-// batch kernels size their per-vertex state arrays by it.
-const MaxFanOut = 64
 
 // Validate rejects nonsensical option combinations with typed errors
 // (wrapping the Err* sentinels above). The engine entry points call it, so
@@ -103,8 +100,10 @@ func (o Options) Validate() error {
 	default:
 		return fmt.Errorf("%w: %d (want auto=0, 1, 64 or 256)", ErrLaneWidth, o.Lanes)
 	}
-	if o.FanOut < 0 || o.FanOut > MaxFanOut {
-		return fmt.Errorf("%w: %d (want auto=0, 1, or 2..%d)", ErrSourceFanOut, o.FanOut, MaxFanOut)
+	switch o.FanOut {
+	case 0, 1, 8:
+	default:
+		return fmt.Errorf("%w: %d (want auto=0, 1 or 8)", ErrSourceFanOut, o.FanOut)
 	}
 	if o.Target != nil {
 		if o.Lanes == 1 {
@@ -155,17 +154,17 @@ func FormatLanes(lanes int) string {
 
 // ParseFanOut resolves a -fan-out flag value: "auto" (or "") leaves the
 // group size of source traversals to the planner, "1" forces the
-// per-source ablation, and "2".."64" pin an explicit multi-source group
-// size. Pairs routed to pair searches ignore it.
+// per-source ablation, and "8" pins groups of eight sources (see
+// Options.FanOut). Pairs routed to pair searches ignore it.
 func ParseFanOut(s string) (int, error) {
-	if s == "" || s == "auto" {
+	switch s {
+	case "", "auto":
 		return 0, nil
+	case "1", "8":
+		n, _ := strconv.Atoi(s)
+		return n, nil
 	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 || n > MaxFanOut {
-		return 0, fmt.Errorf("%w: %q (want auto or 1..%d)", ErrSourceFanOut, s, MaxFanOut)
-	}
-	return n, nil
+	return 0, fmt.Errorf("%w: %q (want auto, 1 or 8)", ErrSourceFanOut, s)
 }
 
 // FormatFanOut is the inverse of ParseFanOut.

@@ -220,8 +220,8 @@ func countDistinctSources(pairs []Pair) int {
 // (or explicit Options) picks for its budget. Scalar worlds traverse per
 // source, or per fan-sized source group on the multi-source kernel. Batch
 // widths route the pairs first (routePairs): few-target sources get one
-// pair search per pair, the rest one source traversal per source or source
-// group, all inside the same pass.
+// pair search per pair, the rest one source traversal per source or per
+// full source group, all inside the same pass.
 func pairStatsFixed(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options) ([]pairResult, error) {
 	lanes := planLanes(opts, KindPair)
 	if lanes == 1 {
@@ -290,8 +290,8 @@ func pairStatsAdaptive(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts 
 type kernels[V ugraph.Vec] struct {
 	tab arcTable[V]
 	ps  PairSearch[V] // searched pairs
-	bfs MaskBFS[V]    // connectivity, and source traversals one source each (fan 1)
-	ms  MSBFS[V]      // source traversals, fan sources each
+	bfs MaskBFS[V]    // connectivity, and source traversals outside full groups
+	ms  MSBFS         // full groups of groupFanOut source traversals (64 lanes)
 }
 
 // kernelPools holds idle kernels, one pool per width, indexed by the
@@ -325,7 +325,9 @@ func reduceKernels[V ugraph.Vec, A any](ctx context.Context, g *ugraph.Graph, op
 			k, _ := kernelPool[V]().Get().(*kernels[V])
 			if k == nil {
 				k = new(kernels[V])
-				k.ps.arcTable, k.bfs.arcTable, k.ms.arcTable = &k.tab, &k.tab, &k.tab
+				k.ps.arcTable, k.bfs.arcTable = &k.tab, &k.tab
+				// nil at 256 lanes, whose source traversals never group
+				k.ms.arcTable, _ = any(&k.tab).(*arcTable[ugraph.Vec64])
 			}
 			mu.Lock()
 			held = append(held, k)
@@ -337,46 +339,48 @@ func reduceKernels[V ugraph.Vec, A any](ctx context.Context, g *ugraph.Graph, op
 
 // pairStatsBatch runs one routed pass over lane-transposed world batches.
 // Per batch it answers each searched pair with one pair search, then each
-// traversal source with one mask-BFS — or, at fan > 1, each fan-sized group
-// of them with one multi-source mask-BFS, which expands each CSR arc once
-// per level for the whole group, amortizing the arc stream across sources
-// the way the lane transposition amortizes it across worlds. Every kernel
-// folds VecLanes[V] worlds of SP/RL evidence per pair in O(1): the
-// reachability popcount and the exact integer depth sum at the target, so
-// per-pair results do not depend on the route, the fan-out or the width.
+// traversal source with one mask-BFS — except that at fan = groupFanOut
+// (64 lanes only, see planFanOut) each full group of that many sources
+// shares one MSBFS traversal, which expands each CSR arc once per level for
+// the whole group, amortizing the arc stream across sources the way the
+// lane transposition amortizes it across worlds. Every kernel folds
+// VecLanes[V] worlds of SP/RL evidence per pair in O(1): the reachability
+// popcount and the exact integer depth sum at the target, so per-pair
+// results do not depend on the route, the fan-out or the width.
 func pairStatsBatch[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options, r pairRoute, fan int) ([]pairResult, error) {
+	grouped := 0
+	if fan == groupFanOut {
+		grouped = len(r.sources) - len(r.sources)%groupFanOut
+	}
 	return reduceKernels(ctx, g, opts,
 		func() []pairResult { return make([]pairResult, len(pairs)) },
 		func(_ int, wb *ugraph.WorldBatch[V], k *kernels[V], acc []pairResult) {
 			lanes := wb.Lanes()
-			add := func(i int, reach V, depthSum int64) {
+			add := func(i, reached int, depthSum int64) {
 				acc[i].samples += lanes
-				acc[i].reachable += ugraph.VecOnesCount(reach)
+				acc[i].reachable += reached
 				acc[i].distSum += float64(depthSum)
 			}
 			for _, i := range r.searched {
 				reach, depthSum := k.ps.Search(wb, pairs[i].S, pairs[i].T)
-				add(i, reach, depthSum)
+				add(i, ugraph.VecOnesCount(reach), depthSum)
 			}
-			if fan == 1 {
-				for _, s := range r.sources {
-					reach := k.bfs.ReachFrom(wb, s)
-					depthSum := k.bfs.DepthSums()
-					for _, i := range r.bySource[s] {
-						t := pairs[i].T
-						add(i, reach[t], depthSum[t])
-					}
-				}
-				return
-			}
-			for base := 0; base < len(r.sources); base += fan {
-				grp := r.sources[base:min(base+fan, len(r.sources))]
-				k.ms.ReachFrom(wb, grp)
+			for base := 0; base < grouped; base += groupFanOut {
+				grp := [groupFanOut]int(r.sources[base:])
+				k.ms.ReachFrom(any(wb).(*ugraph.WorldBatch[ugraph.Vec64]), grp)
 				for slot, s := range grp {
 					for _, i := range r.bySource[s] {
 						t := pairs[i].T
-						add(i, k.ms.Reach(t, slot), k.ms.DepthSum(t, slot))
+						add(i, ugraph.VecOnesCount(k.ms.Reach(t, slot)), k.ms.DepthSum(t, slot))
 					}
+				}
+			}
+			for _, s := range r.sources[grouped:] {
+				reach := k.bfs.ReachFrom(wb, s)
+				depthSum := k.bfs.DepthSums()
+				for _, i := range r.bySource[s] {
+					t := pairs[i].T
+					add(i, ugraph.VecOnesCount(reach[t]), depthSum[t])
 				}
 			}
 		},

@@ -6,58 +6,66 @@ import (
 	"ugs/internal/ugraph"
 )
 
-// MSBFS is the multi-source companion of MaskBFS: one level-synchronous
-// traversal carries per-vertex lane masks for a whole group of query
-// sources, so each CSR arc of a level is loaded once and expanded for every
-// source in the group. With wide world batches nearly every vertex is
-// frontier-active at nearly every level for every source, so the union
-// frontier of S sources costs far less arc traffic and level control flow
-// than S separate traversals — the same amortization the lane transposition
-// buys across worlds, applied across sources. The per-(source, lane)
-// semantics are exactly S independent MaskBFS runs: source slots never mix,
-// so reach masks and settle depths are bit-identical to S calls of
-// MaskBFS.ReachFrom, which is what lets the pair estimators route through
-// either kernel interchangeably.
-//
-// State is laid out as one interleaved record per vertex: rn[v*2S+k] holds
-// vertex v's reach mask for source slot k and rn[v*2S+S+k] the lanes first
-// reached during the current level ("next"). Reach and next share the
-// record because the expansion loop needs both for every arc — the reach
-// words to mask out settled lanes, the next words to accumulate new ones —
-// and an arc's target is a random access: keeping them in one cache-line
-// run makes the next-side touch an L1 hit instead of a second miss, which
-// is what the traversal's throughput is bound by on out-of-cache graphs.
-// Zero steady-state allocations with a warm instance sized for the group;
-// not safe for concurrent use (the batch Monte-Carlo engine creates one per
-// worker).
-type MSBFS[V ugraph.Vec] struct {
-	n        int     // vertices in the bound graph family
-	group    int     // source slots of the current/last traversal
-	rn       []V     // v*2*group + k: reach slot k; + group + k: next slot k
-	cur      []V     // v*group + k: frontier lanes entering the current level
-	depthSum []int64 // v*group + k: Σ over reached lanes of the settle depth
-	curQ     []int32 // vertices with any nonzero cur slot
-	nextQ    []int32 // vertices with any nonzero next slot
+// groupFanOut is the number of source slots one MSBFS traversal carries,
+// and so the only group size of source traversals at batch widths.
+const groupFanOut = 8
 
-	*arcTable[V]
+// MSBFS is the multi-source companion of MaskBFS at 64 lanes: one
+// level-synchronous traversal carries per-vertex lane masks for a group of
+// exactly groupFanOut query sources, so each CSR arc of a level is loaded
+// once and expanded for all of them. The per-(source, lane) semantics are
+// exactly groupFanOut independent MaskBFS runs: source slots never mix, so
+// reach masks and settle depths are bit-identical to one
+// MaskBFS.ReachFrom per slot, which is what lets the pair estimators route
+// through either kernel interchangeably, and what
+// TestMSBFSMatchesMaskBFSPerSlot checks slot by slot.
+//
+// State is laid out as one interleaved record per vertex: rn[v][k] holds
+// vertex v's reach mask for source slot k and rn[v][groupFanOut+k] the
+// lanes first reached during the current level ("next"). Reach and next
+// share the record because the expansion loop needs both for every arc —
+// the reach words to mask out settled lanes, the next words to accumulate
+// new ones — and an arc's target is a random access: keeping them in one
+// cache-line run makes the next-side touch an L1 hit instead of a second
+// miss, which is what the traversal's throughput is bound by on
+// out-of-cache graphs. The level loop holds the frontier group in scalar
+// locals across the frontier vertex's arc loop and touches the next side
+// only when some slot transmits, so the common already-settled arc loads
+// one record and stores nothing.
+//
+// Zero steady-state allocations with a warm instance; not safe for
+// concurrent use (the batch Monte-Carlo engine keeps one per worker).
+type MSBFS struct {
+	rn       [][2 * groupFanOut]uint64 // reach slots, then next slots
+	cur      [][groupFanOut]uint64     // frontier lanes entering the current level
+	depthSum [][groupFanOut]int64      // Σ over reached lanes of the settle depth
+	curQ     []int32                   // vertices with any nonzero cur slot
+	nextQ    []int32                   // vertices with any nonzero next slot
+
+	*arcTable[ugraph.Vec64]
 }
 
-// NewMSBFS returns a multi-source mask-BFS for graphs with n vertices,
-// pre-sized for source groups of up to fan sources (larger graphs and
-// groups grow the buffers on first use).
-func NewMSBFS[V ugraph.Vec](n, fan int) *MSBFS[V] {
-	if fan < 1 {
-		fan = 1
+// NewMSBFS returns a multi-source mask-BFS sized for graphs with n vertices
+// (each traversal re-sizes it to its batch's graph).
+func NewMSBFS(n int) *MSBFS {
+	b := &MSBFS{arcTable: new(arcTable[ugraph.Vec64])}
+	b.size(n)
+	return b
+}
+
+// size fits the per-vertex records to a graph of n vertices, reusing their
+// storage when it is large enough; the dense sweep ranges over them, so
+// they hold exactly n entries. Entries past n keep the between-calls
+// invariant (cur all zero), as in MaskBFS.size.
+func (b *MSBFS) size(n int) {
+	if cap(b.rn) < n {
+		b.rn = make([][2 * groupFanOut]uint64, n)
+		b.cur = make([][groupFanOut]uint64, n)
+		b.depthSum = make([][groupFanOut]int64, n)
+		b.curQ = make([]int32, 0, n)
+		b.nextQ = make([]int32, 0, n)
 	}
-	return &MSBFS[V]{
-		n:        n,
-		rn:       make([]V, n*fan*2),
-		cur:      make([]V, n*fan),
-		depthSum: make([]int64, n*fan),
-		curQ:     make([]int32, 0, n),
-		nextQ:    make([]int32, 0, n),
-		arcTable: new(arcTable[V]),
-	}
+	b.rn, b.cur, b.depthSum = b.rn[:n], b.cur[:n], b.depthSum[:n]
 }
 
 // ReachFrom runs one level-synchronous traversal from every source in srcs
@@ -65,191 +73,153 @@ func NewMSBFS[V ugraph.Vec](n, fan int) *MSBFS[V] {
 // expose, for source slot k (= srcs[k]), exactly what MaskBFS.ReachFrom
 // from srcs[k] would report for v — bit for bit. Duplicate sources are
 // allowed and simply settle the same vertex in several slots.
-func (b *MSBFS[V]) ReachFrom(wb *ugraph.WorldBatch[V], srcs []int) {
-	off := b.start(wb, srcs)
-	// Same registerization story as MaskBFS.ReachFrom, with the group size
-	// as a second specialization axis: the generic slot loop re-loads every
-	// frontier word from memory per arc and pays a bounds check per slot,
-	// so the 64-lane groups of 4 and 8 sources dispatch to hand-specialized
-	// level loops (msbfs_wide.go) that view each vertex's record as a
-	// fixed-size array and hold the whole frontier group in scalar locals
-	// across the arc loop. Every other (width, group) shape runs the
-	// generic reference loop, which is also what
-	// TestMSBFSSpecializedMatchesGeneric replays against each kernel.
-	bb, ok := any(b).(*MSBFS[ugraph.Vec64])
-	switch {
-	case ok && b.group == 4:
-		runLevelsMS64x4(bb, off)
-	case ok && b.group == 8:
-		runLevelsMS64x8(bb, off)
-	default:
-		b.runLevels(off)
+func (b *MSBFS) ReachFrom(wb *ugraph.WorldBatch[ugraph.Vec64], srcs [groupFanOut]int) {
+	b.bind(wb)
+	b.size(wb.Graph().NumVertices())
+	clear(b.rn)
+	clear(b.depthSum)
+	// Invariant between calls: cur is all zero (every frontier entry set
+	// during a level is cleared when the level is consumed), so each
+	// distinct source enters the frontier queue once.
+	active := wb.ActiveMask()[0]
+	b.curQ = b.curQ[:0]
+	for k, src := range srcs {
+		if b.cur[src] == ([groupFanOut]uint64{}) {
+			b.curQ = append(b.curQ, int32(src))
+		}
+		b.rn[src][k] = active
+		b.cur[src][k] = active
 	}
+	b.nextQ = b.nextQ[:0]
+	b.runLevels(wb.Graph().ArcOffsets())
 }
 
 // Reach returns the reachability mask of vertex v for source slot k of the
 // last ReachFrom: lane bit l is set iff v is reachable from srcs[k] in
 // world lane l. Bits of inactive lanes are always zero.
-func (b *MSBFS[V]) Reach(v, k int) V { return b.rn[v*2*b.group+k] }
+func (b *MSBFS) Reach(v, k int) ugraph.Vec64 { return ugraph.Vec64{b.rn[v][k]} }
 
 // DepthSum returns Σ over reached lanes of vertex v's settle depth from
 // source slot k of the last ReachFrom — the multi-source analogue of
 // MaskBFS.DepthSums.
-func (b *MSBFS[V]) DepthSum(v, k int) int64 { return b.depthSum[v*b.group+k] }
+func (b *MSBFS) DepthSum(v, k int) int64 { return b.depthSum[v][k] }
 
-// start binds wb, sizes the per-vertex records for wb's graph and
-// len(srcs) slots and resets them: reach/next/depthSum cleared, each source
-// seeded with the active mask in its own slot, the frontier queue holding
-// each distinct source once. It returns the CSR arc offsets the level loops
-// index arcs with.
-func (b *MSBFS[V]) start(wb *ugraph.WorldBatch[V], srcs []int) []int32 {
-	b.bind(wb)
-	b.n = wb.Graph().NumVertices()
-	s := len(srcs)
-	b.group = s
-	if need := b.n * s; len(b.cur) < need {
-		b.rn = make([]V, need*2)
-		b.cur = make([]V, need)
-		b.depthSum = make([]int64, need)
-	}
-	var zero V
-	for i := 0; i < b.n*s*2; i++ {
-		b.rn[i] = zero
-	}
-	for i := 0; i < b.n*s; i++ {
-		b.depthSum[i] = 0
-	}
-	// Invariant between calls: cur is all zero (every frontier entry set
-	// during a level is cleared when the level is consumed), so a smaller
-	// group reusing the same backing array starts clean.
-	active := wb.ActiveMask()
-	b.curQ = b.curQ[:0]
-	for k, src := range srcs {
-		row := b.cur[src*s : src*s+s]
-		queued := false
-		for _, c := range row {
-			if !ugraph.VecIsZero(c) {
-				queued = true
-				break
-			}
-		}
-		if !queued {
-			b.curQ = append(b.curQ, int32(src))
-		}
-		b.rn[src*2*s+k] = active
-		row[k] = active
-	}
-	b.nextQ = b.nextQ[:0]
-	return wb.Graph().ArcOffsets()
-}
-
-// runLevels is the generic multi-source level loop — the reference
-// semantics every specialized kernel must reproduce bit for bit. It mirrors
-// MaskBFS.runLevels with one extra inner dimension: each arc's lane mask is
-// applied to every source slot of the frontier vertex, and a vertex joins
-// the next frontier when the union over its next slots goes nonzero. It
-// returns the total number of arc expansions performed, the quantity
-// source fan-out amortizes (one expansion covers the whole group).
-func (b *MSBFS[V]) runLevels(off []int32) int64 {
+// runLevels is MaskBFS's level loop with the source slot as an unrolled
+// inner dimension: each arc's lane mask is applied to every slot of the
+// frontier vertex, and a vertex joins the next frontier when the union
+// over its next slots goes zero → nonzero. The dense/sparse crossover
+// scales the single-source vol ≥ n/8 rule by the group size, since per-arc
+// expansion and per-vertex sweep both scale by it. Mode choice never
+// affects results.
+func (b *MSBFS) runLevels(off []int32) {
 	arcs := b.arcs
-	s := b.group
-	rn, cur, depthSum := b.rn, b.cur, b.depthSum
-	var zero V
+	rn, cur := b.rn, b.cur
 	curQ, nextQ := b.curQ, b.nextQ
-	n := b.n
+	n := len(rn)
 	depth := 0
-	var visits int64
 	for len(curQ) > 0 {
 		depth++
-		// Arc volume decides frontier recovery exactly as in the
-		// single-source loop: per-arc expansion and per-vertex sweep both
-		// scale by the slot count, so the crossover is unchanged.
 		vol := 0
 		for _, ui := range curQ {
 			vol += int(off[ui+1] - off[ui])
 		}
-		visits += int64(vol)
 		nextQ = nextQ[:0]
-		if vol >= n/8 {
+		if vol >= n*groupFanOut/8 {
 			for _, ui := range curQ {
 				u := int(ui)
-				fu := cur[u*s : u*s+s]
-				for _, a := range arcs[off[u]:off[u+1]] {
-					v := int(a.to)
-					rv := rn[v*2*s : v*2*s+s]
-					nv := rn[v*2*s+s : v*2*s+2*s]
-					for k := range nv {
-						nv[k] = ugraph.VecOr(nv[k], ugraph.VecFrontier(fu[k], a.mask, rv[k]))
+				f := &cur[u]
+				f0, f1, f2, f3, f4, f5, f6, f7 := f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7]
+				*f = [groupFanOut]uint64{}
+				for j := off[u]; j < off[u+1]; j++ {
+					a := &arcs[j]
+					m := a.mask[0]
+					q := &rn[a.to]
+					t0 := f0 & m &^ q[0]
+					t1 := f1 & m &^ q[1]
+					t2 := f2 & m &^ q[2]
+					t3 := f3 & m &^ q[3]
+					t4 := f4 & m &^ q[4]
+					t5 := f5 & m &^ q[5]
+					t6 := f6 & m &^ q[6]
+					t7 := f7 & m &^ q[7]
+					if t0|t1|t2|t3|t4|t5|t6|t7 == 0 {
+						continue
 					}
-				}
-				for k := range fu {
-					fu[k] = zero
+					q[8] |= t0
+					q[9] |= t1
+					q[10] |= t2
+					q[11] |= t3
+					q[12] |= t4
+					q[13] |= t5
+					q[14] |= t6
+					q[15] |= t7
 				}
 			}
-			for v := 0; v < n; v++ {
-				nv := rn[v*2*s+s : v*2*s+2*s]
-				var un V
-				for _, m := range nv {
-					un = ugraph.VecOr(un, m)
-				}
-				if ugraph.VecIsZero(un) {
+			for v := range rn {
+				q := &rn[v]
+				if q[8]|q[9]|q[10]|q[11]|q[12]|q[13]|q[14]|q[15] == 0 {
 					continue
 				}
-				rv := rn[v*2*s : v*2*s+s]
-				cv := cur[v*s : v*s+s]
-				dv := depthSum[v*s : v*s+s]
-				for k := range nv {
-					newly := nv[k]
-					nv[k] = zero
-					rv[k] = ugraph.VecOr(rv[k], newly)
-					dv[k] += int64(depth) * int64(ugraph.VecOnesCount(newly))
-					cv[k] = newly
-				}
+				b.settle(v, depth)
 				nextQ = append(nextQ, int32(v))
 			}
 		} else {
 			for _, ui := range curQ {
 				u := int(ui)
-				fu := cur[u*s : u*s+s]
-				for _, a := range arcs[off[u]:off[u+1]] {
-					v := int(a.to)
-					rv := rn[v*2*s : v*2*s+s]
-					nv := rn[v*2*s+s : v*2*s+2*s]
-					var pre, post V
-					for k := range nv {
-						m := ugraph.VecFrontier(fu[k], a.mask, rv[k])
-						p := nv[k]
-						nv[k] = ugraph.VecOr(p, m)
-						pre = ugraph.VecOr(pre, p)
-						post = ugraph.VecOr(post, nv[k])
+				f := &cur[u]
+				f0, f1, f2, f3, f4, f5, f6, f7 := f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7]
+				*f = [groupFanOut]uint64{}
+				for j := off[u]; j < off[u+1]; j++ {
+					a := &arcs[j]
+					m := a.mask[0]
+					q := &rn[a.to]
+					t0 := f0 & m &^ q[0]
+					t1 := f1 & m &^ q[1]
+					t2 := f2 & m &^ q[2]
+					t3 := f3 & m &^ q[3]
+					t4 := f4 & m &^ q[4]
+					t5 := f5 & m &^ q[5]
+					t6 := f6 & m &^ q[6]
+					t7 := f7 & m &^ q[7]
+					if t0|t1|t2|t3|t4|t5|t6|t7 == 0 {
+						continue
 					}
-					if ugraph.VecIsZero(pre) && !ugraph.VecIsZero(post) {
-						nextQ = append(nextQ, int32(v))
+					pre := q[8] | q[9] | q[10] | q[11] | q[12] | q[13] | q[14] | q[15]
+					q[8] |= t0
+					q[9] |= t1
+					q[10] |= t2
+					q[11] |= t3
+					q[12] |= t4
+					q[13] |= t5
+					q[14] |= t6
+					q[15] |= t7
+					if pre == 0 {
+						nextQ = append(nextQ, a.to)
 					}
-				}
-				for k := range fu {
-					fu[k] = zero
 				}
 			}
-			for _, vi := range nextQ {
-				v := int(vi)
-				nv := rn[v*2*s+s : v*2*s+2*s]
-				rv := rn[v*2*s : v*2*s+s]
-				cv := cur[v*s : v*s+s]
-				dv := depthSum[v*s : v*s+s]
-				for k := range nv {
-					newly := nv[k] // disjoint from reach: masked at insertion
-					nv[k] = zero
-					rv[k] = ugraph.VecOr(rv[k], newly)
-					dv[k] += int64(depth) * int64(ugraph.VecOnesCount(newly))
-					cv[k] = newly
-				}
+			for _, v := range nextQ {
+				b.settle(int(v), depth)
 			}
 		}
 		curQ, nextQ = nextQ, curQ[:0]
 	}
 	b.curQ, b.nextQ = curQ[:0], nextQ[:0]
-	return visits
+}
+
+// settle folds vertex v's next slots — disjoint from its reach slots, since
+// they are masked at insertion — into its reach slots, the frontier of the
+// next level and the per-slot depth sums, and clears them.
+func (b *MSBFS) settle(v, depth int) {
+	q, c, d := &b.rn[v], &b.cur[v], &b.depthSum[v]
+	dd := int64(depth)
+	for k := range groupFanOut {
+		newly := q[groupFanOut+k]
+		q[k] |= newly
+		q[groupFanOut+k] = 0
+		c[k] = newly
+		d[k] += dd * int64(bits.OnesCount64(newly))
+	}
 }
 
 // MSWorldBFS is the scalar-world counterpart of MSBFS: one breadth-first

@@ -6,11 +6,10 @@ import (
 	"ugs/internal/ugraph"
 )
 
-// benchMSReachFrom measures one grouped traversal per iteration against the
-// per-source loop it replaces: fan=1 runs len(srcs) MaskBFS traversals,
-// fan>1 runs ceil(len(srcs)/fan) MSBFS passes over the same sources. ns/op
-// at equal width is directly comparable — both settle the identical
-// (source, lane) state.
+// benchMSReachFrom measures one round of source traversals per iteration
+// over the same nsrc sources: fan=1 runs one MaskBFS per source, fan=8
+// (64 lanes only) one MSBFS per group of eight. ns/op at equal width is
+// directly comparable — both settle the identical (source, lane) state.
 func benchMSReachFrom[V ugraph.Vec](b *testing.B, g *ugraph.Graph, fan, nsrc int) {
 	wb := ugraph.NewWorldBatch[V](g)
 	seeds := make([]int64, ugraph.VecLanes[V]())
@@ -25,7 +24,7 @@ func benchMSReachFrom[V ugraph.Vec](b *testing.B, g *ugraph.Graph, fan, nsrc int
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if fan <= 1 {
+	if fan == 1 {
 		bfs := NewMaskBFS[V](n)
 		for i := 0; i < b.N; i++ {
 			for _, s := range srcs {
@@ -34,44 +33,21 @@ func benchMSReachFrom[V ugraph.Vec](b *testing.B, g *ugraph.Graph, fan, nsrc int
 		}
 		return
 	}
-	ms := NewMSBFS[V](n, fan)
+	ms := NewMSBFS(n)
+	wb64 := any(wb).(*ugraph.WorldBatch[ugraph.Vec64])
 	for i := 0; i < b.N; i++ {
-		for base := 0; base < nsrc; base += fan {
-			end := base + fan
-			if end > nsrc {
-				end = nsrc
-			}
-			ms.ReachFrom(wb, srcs[base:end])
+		for base := 0; base < nsrc; base += groupFanOut {
+			ms.ReachFrom(wb64, [groupFanOut]int(srcs[base:]))
 		}
 	}
 }
 
+// BenchmarkMSBFSReachFrom times the source-traversal shapes the batch
+// engine runs over 32 sources: one MaskBFS per source at 64 and 256 lanes,
+// and groups of eight on the multi-source kernel at 64 lanes.
 func BenchmarkMSBFSReachFrom(b *testing.B) {
 	g := benchGraph(b)
-	for _, w := range []struct {
-		name string
-		run  func(b *testing.B, fan, nsrc int)
-	}{
-		{"lanes=64", func(b *testing.B, fan, nsrc int) { benchMSReachFrom[ugraph.Vec64](b, g, fan, nsrc) }},
-		{"lanes=256", func(b *testing.B, fan, nsrc int) { benchMSReachFrom[ugraph.Vec256](b, g, fan, nsrc) }},
-	} {
-		for _, fan := range []int{1, 4, 8, 16, 32} {
-			name := w.name + "/fan=" + itoa(fan)
-			b.Run(name, func(b *testing.B) { w.run(b, fan, 32) })
-		}
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [4]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	b.Run("lanes=64/fan=1", func(b *testing.B) { benchMSReachFrom[ugraph.Vec64](b, g, 1, 32) })
+	b.Run("lanes=64/fan=8", func(b *testing.B) { benchMSReachFrom[ugraph.Vec64](b, g, groupFanOut, 32) })
+	b.Run("lanes=256/fan=1", func(b *testing.B) { benchMSReachFrom[ugraph.Vec256](b, g, 1, 32) })
 }

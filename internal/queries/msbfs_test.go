@@ -11,101 +11,48 @@ import (
 // probeGroup draws a random source group for a multi-source trial,
 // occasionally with duplicate sources — allowed by the kernel contract and
 // exercised here so a slot-mixing bug cannot hide behind distinctness.
-func probeGroup(rng *rand.Rand, n int) []int {
-	size := 1 + rng.Intn(12)
-	srcs := make([]int, size)
+func probeGroup(rng *rand.Rand, n int) [groupFanOut]int {
+	var srcs [groupFanOut]int
 	for i := range srcs {
 		srcs[i] = rng.Intn(n)
 	}
 	return srcs
 }
 
-// checkMSBFSMatchesMaskBFS pins the multi-source kernel at one width: every
-// source slot's reach masks and depth sums must equal a dedicated
-// single-source MaskBFS traversal from that slot's source, bit for bit.
-func checkMSBFSMatchesMaskBFS[V ugraph.Vec](t *testing.T, rng *rand.Rand, trial int) {
-	t.Helper()
-	g := randomQueryGraph(rng, 8+rng.Intn(40), 0.05+0.3*rng.Float64())
-	n := g.NumVertices()
-	lanes := 1 + rng.Intn(ugraph.VecLanes[V]())
-	seeds := make([]int64, lanes)
-	for l := range seeds {
-		seeds[l] = rng.Int63()
-	}
-	wb := ugraph.NewWorldBatch[V](g)
-	ugraph.SampleBatchSeeded(g, seeds, wb)
-	single := NewMaskBFS[V](n)
-	ms := NewMSBFS[V](n, 4) // deliberately smaller than some groups: exercises growth
-	for round := 0; round < 3; round++ {
-		srcs := probeGroup(rng, n)
-		ms.ReachFrom(wb, srcs)
-		for k, src := range srcs {
-			reach := single.ReachFrom(wb, src)
-			depthSum := single.DepthSums()
-			for v := 0; v < n; v++ {
-				if ms.Reach(v, k) != reach[v] {
-					t.Fatalf("trial %d round %d srcs %v slot %d vertex %d: reach %v != single-source %v",
-						trial, round, srcs, k, v, ms.Reach(v, k), reach[v])
-				}
-				if ms.DepthSum(v, k) != depthSum[v] {
-					t.Fatalf("trial %d round %d srcs %v slot %d vertex %d: depthSum %d != single-source %d",
-						trial, round, srcs, k, v, ms.DepthSum(v, k), depthSum[v])
-				}
-			}
-		}
-	}
-}
-
+// TestMSBFSMatchesMaskBFSPerSlot pins the multi-source kernel: every source
+// slot's reach masks and depth sums must equal a dedicated single-source
+// MaskBFS traversal from that slot's source, bit for bit.
 func TestMSBFSMatchesMaskBFSPerSlot(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 8; trial++ {
-		checkMSBFSMatchesMaskBFS[ugraph.Vec64](t, rng, trial)
-		checkMSBFSMatchesMaskBFS[ugraph.Vec256](t, rng, trial)
-	}
-}
-
-// checkMSBFSSpecializedMatchesGeneric replays the generic runLevels
-// reference on the exact state ReachFrom hands its width-specialized kernel
-// (msbfs_wide.go) and demands bit-identical reach masks and depth sums —
-// the multi-source analogue of TestMaskBFSSpecializedMatchesGeneric.
-func checkMSBFSSpecializedMatchesGeneric[V ugraph.Vec](t *testing.T, rng *rand.Rand, trial int) {
-	t.Helper()
-	g := randomQueryGraph(rng, 8+rng.Intn(40), 0.05+0.3*rng.Float64())
-	n := g.NumVertices()
-	lanes := 1 + rng.Intn(ugraph.VecLanes[V]())
-	seeds := make([]int64, lanes)
-	for l := range seeds {
-		seeds[l] = rng.Int63()
-	}
-	wb := ugraph.NewWorldBatch[V](g)
-	ugraph.SampleBatchSeeded(g, seeds, wb)
-	fast := NewMSBFS[V](n, 16)
-	ref := NewMSBFS[V](n, 16)
-	for round := 0; round < 3; round++ {
-		srcs := probeGroup(rng, n)
-		fast.ReachFrom(wb, srcs)
-		off := ref.start(wb, srcs)
-		ref.runLevels(off)
-		for v := 0; v < n; v++ {
-			for k := range srcs {
-				if fast.Reach(v, k) != ref.Reach(v, k) {
-					t.Fatalf("trial %d round %d srcs %v vertex %d slot %d: specialized reach %v != generic %v",
-						trial, round, srcs, v, k, fast.Reach(v, k), ref.Reach(v, k))
-				}
-				if fast.DepthSum(v, k) != ref.DepthSum(v, k) {
-					t.Fatalf("trial %d round %d srcs %v vertex %d slot %d: specialized depthSum %d != generic %d",
-						trial, round, srcs, v, k, fast.DepthSum(v, k), ref.DepthSum(v, k))
+	for trial := 0; trial < 16; trial++ {
+		g := randomQueryGraph(rng, 8+rng.Intn(40), 0.05+0.3*rng.Float64())
+		n := g.NumVertices()
+		seeds := make([]int64, 1+rng.Intn(ugraph.BatchLanes))
+		for l := range seeds {
+			seeds[l] = rng.Int63()
+		}
+		wb := ugraph.NewWorldBatch[ugraph.Vec64](g)
+		ugraph.SampleBatchSeeded(g, seeds, wb)
+		single := NewMaskBFS[ugraph.Vec64](n)
+		ms := NewMSBFS(4) // deliberately smaller than the graphs: exercises growth
+		for round := 0; round < 3; round++ {
+			srcs := probeGroup(rng, n)
+			ms.ReachFrom(wb, srcs)
+			for k, src := range srcs {
+				reach := single.ReachFrom(wb, src)
+				depthSum := single.DepthSums()
+				for v := 0; v < n; v++ {
+					if ms.Reach(v, k) != reach[v] {
+						t.Fatalf("trial %d round %d srcs %v slot %d vertex %d: reach %v != single-source %v",
+							trial, round, srcs, k, v, ms.Reach(v, k), reach[v])
+					}
+					if ms.DepthSum(v, k) != depthSum[v] {
+						t.Fatalf("trial %d round %d srcs %v slot %d vertex %d: depthSum %d != single-source %d",
+							trial, round, srcs, k, v, ms.DepthSum(v, k), depthSum[v])
+					}
 				}
 			}
 		}
-	}
-}
-
-func TestMSBFSSpecializedMatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	for trial := 0; trial < 8; trial++ {
-		checkMSBFSSpecializedMatchesGeneric[ugraph.Vec64](t, rng, trial)
-		checkMSBFSSpecializedMatchesGeneric[ugraph.Vec256](t, rng, trial)
 	}
 }
 
@@ -121,7 +68,7 @@ func TestMSWorldBFSMatchesScalarBFS(t *testing.T) {
 		ms := NewMSWorldBFS(n, 4)
 		bfs := NewBFS(n)
 		srcs := probeGroup(rng, n)
-		ms.Run(w, srcs)
+		ms.Run(w, srcs[:])
 		for k, src := range srcs {
 			dist := bfs.Distances(w, src)
 			for v := 0; v < n; v++ {
@@ -138,8 +85,9 @@ func TestMSWorldBFSMatchesScalarBFS(t *testing.T) {
 // several pairs sharing one source, duplicate pairs, pairs whose sources
 // collide with targets, and, after the count random ones, nine sources
 // with more targets than pairSearchTargets, which batch widths answer with
-// source traversals (grouped ones at fan-out > 1) beside the pair searches
-// of the rest.
+// source traversals beside the pair searches of the rest: at 64 lanes and
+// fan-out auto or 8, one group of eight on the multi-source kernel and one
+// leftover on its own.
 func multiPairCase(rng *rand.Rand, n, count int) []Pair {
 	pairs := RandomPairs(n, count, rng)
 	if count >= 4 && n >= 3 {
@@ -171,7 +119,7 @@ func TestMultiSourceMatchesPerSource(t *testing.T) {
 	for _, lanes := range []int{1, 0, ugraph.BatchLanes, ugraph.MaxBatchLanes} {
 		var wantSP, wantRL []float64
 		for _, workers := range []int{1, 8} {
-			for _, fan := range []int{1, 0, 2, 7, 16, 64} {
+			for _, fan := range []int{1, 0, 8} {
 				opts := mc.Options{Samples: 130, Seed: 99, Workers: workers, Lanes: lanes, FanOut: fan}
 				sp, rl, err := ShortestDistanceAndReliability(bg(), g, pairs, opts)
 				if err != nil {
@@ -236,7 +184,7 @@ func TestAdaptiveMultiPairDeterministicAcrossFanOuts(t *testing.T) {
 	var wantInfo mc.RunInfo
 	first := true
 	for _, workers := range []int{1, 8} {
-		for _, fan := range []int{1, 0, 8, 64} {
+		for _, fan := range []int{1, 0, 8} {
 			opts := mc.Options{Seed: 11, Workers: workers, FanOut: fan,
 				Target: mc.WithConfidence(0.05, 0.05)}
 			sp, rl, info, err := ShortestDistanceAndReliabilityRun(bg(), g, pairs, opts)
@@ -267,15 +215,15 @@ func TestMSBFSZeroSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	g := randomQueryGraph(rng, 50, 0.2)
 	n := g.NumVertices()
-	srcs := []int{0, 7, 13, 21, 34, 42, 45, 49}
+	srcs := [groupFanOut]int{0, 7, 13, 21, 34, 42, 45, 49}
 
-	seeds := make([]int64, ugraph.VecLanes[ugraph.Vec256]())
+	seeds := make([]int64, ugraph.BatchLanes)
 	for l := range seeds {
 		seeds[l] = rng.Int63()
 	}
-	wb := ugraph.NewWorldBatch[ugraph.Vec256](g)
+	wb := ugraph.NewWorldBatch[ugraph.Vec64](g)
 	ugraph.SampleBatchSeeded(g, seeds, wb)
-	ms := NewMSBFS[ugraph.Vec256](n, len(srcs))
+	ms := NewMSBFS(n)
 	ms.ReachFrom(wb, srcs)
 	if allocs := testing.AllocsPerRun(50, func() { ms.ReachFrom(wb, srcs) }); allocs != 0 {
 		t.Errorf("MSBFS.ReachFrom allocates %.1f per call with a warm instance, want 0", allocs)
@@ -283,8 +231,8 @@ func TestMSBFSZeroSteadyStateAllocs(t *testing.T) {
 
 	w := g.SampleWorld(rand.New(rand.NewSource(5)))
 	msw := NewMSWorldBFS(n, len(srcs))
-	msw.Run(w, srcs)
-	if allocs := testing.AllocsPerRun(50, func() { msw.Run(w, srcs) }); allocs != 0 {
+	msw.Run(w, srcs[:])
+	if allocs := testing.AllocsPerRun(50, func() { msw.Run(w, srcs[:]) }); allocs != 0 {
 		t.Errorf("MSWorldBFS.Run allocates %.1f per call with a warm instance, want 0", allocs)
 	}
 }

@@ -40,23 +40,6 @@ func TestMSRatio(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = i * n / nsrc
 	}
-	// Arc-expansion counts: how many expansions the union frontier performs
-	// vs one generic traversal per source over the same sources and worlds.
-	cnt := NewMSBFS[ugraph.Vec64](n, 32)
-	var perSource int64
-	for _, s := range srcs {
-		off := cnt.start(wb, []int{s})
-		perSource += cnt.runLevels(off)
-	}
-	fmt.Printf("per-source arc expansions: %d\n", perSource)
-	for _, fan := range []int{4, 8, 16, 32} {
-		var multi int64
-		for b := 0; b < nsrc; b += fan {
-			off := cnt.start(wb, srcs[b:b+fan])
-			multi += cnt.runLevels(off)
-		}
-		fmt.Printf("fan=%d arc expansions: %d (%.2fx fewer)\n", fan, multi, float64(perSource)/float64(multi))
-	}
 	// Scalar engine: per-source BFS.Distances vs one 32/64-slot MSWorldBFS.
 	{
 		w := g.SampleWorld(rand.New(rand.NewSource(7)))
@@ -79,26 +62,25 @@ func TestMSRatio(t *testing.T) {
 		sort.Float64s(ratios)
 		fmt.Printf("scalar (%d sources) median ratio %.2f\n", nsrc, ratios[len(ratios)/2])
 	}
-	for _, fan := range []int{4, 8} {
-		bfs := NewMaskBFS[ugraph.Vec64](n)
-		ms := NewMSBFS[ugraph.Vec64](n, fan)
-		var ratios []float64
-		for rep := 0; rep < 6; rep++ {
-			t0 := time.Now()
-			for _, s := range srcs {
-				bfs.ReachFrom(wb, s)
-			}
-			base := time.Since(t0)
-			t1 := time.Now()
-			for b := 0; b < nsrc; b += fan {
-				ms.ReachFrom(wb, srcs[b:b+fan])
-			}
-			multi := time.Since(t1)
-			r := float64(base) / float64(multi)
-			ratios = append(ratios, r)
-			fmt.Printf("fan=%d rep=%d base=%v multi=%v ratio=%.2f\n", fan, rep, base, multi, r)
+	// 64 lanes: one MaskBFS per source vs one MSBFS per group of eight.
+	bfs := NewMaskBFS[ugraph.Vec64](n)
+	ms := NewMSBFS(n)
+	var ratios []float64
+	for rep := 0; rep < 6; rep++ {
+		t0 := time.Now()
+		for _, s := range srcs {
+			bfs.ReachFrom(wb, s)
 		}
-		sort.Float64s(ratios)
-		fmt.Printf("fan=%d median ratio %.2f\n", fan, ratios[len(ratios)/2])
+		base := time.Since(t0)
+		t1 := time.Now()
+		for b := 0; b < nsrc; b += groupFanOut {
+			ms.ReachFrom(wb, [groupFanOut]int(srcs[b:]))
+		}
+		multi := time.Since(t1)
+		r := float64(base) / float64(multi)
+		ratios = append(ratios, r)
+		fmt.Printf("fan=%d rep=%d base=%v multi=%v ratio=%.2f\n", groupFanOut, rep, base, multi, r)
 	}
+	sort.Float64s(ratios)
+	fmt.Printf("fan=%d median ratio %.2f\n", groupFanOut, ratios[len(ratios)/2])
 }

@@ -36,9 +36,10 @@ const (
 //     targets runs a pair search (PairSearch), which stops each lane where
 //     the source and target balls meet; the other pairs share one source
 //     traversal per source, which settles every target at once;
-//   - source traversals at 64 lanes group groupFanOut sources per
-//     traversal when there are that many, amortizing the arc stream across
-//     sources; at 256 lanes they run one source each;
+//   - source traversals at 64 lanes run each full group of groupFanOut
+//     sources as one MSBFS traversal, amortizing the arc stream across
+//     sources, and every other source as one MaskBFS; at 256 lanes every
+//     source runs one MaskBFS;
 //   - connectivity runs 64 lanes: the stranded-vertex screen answers most
 //     batches without a traversal (MaskBFS.ConnectedLanes), so a run is
 //     bound by its fills; at 512 samples 64 and 256 lanes time within 5%
@@ -46,14 +47,15 @@ const (
 //     1.8–2.1× slower.
 //
 // The route to pair searches applies to explicit shapes too: Options.Lanes
-// and Options.FanOut pin the width and the source group size of the source
-// traversals, and only Lanes: 1 (the scalar reference) runs no pair search.
+// pins the width, Options.FanOut 1 pins one source per traversal (FanOut 8
+// plans as auto at batch widths), and only Lanes: 1 (the scalar reference)
+// runs no pair search.
 const (
 	// wideBudget is the smallest pair-query budget that runs at 256 lanes.
 	wideBudget = 384
-	// groupFanOut is the source group size of auto-planned 64-lane source
-	// traversals with at least that many distinct sources.
-	groupFanOut = 8
+	// scalarFanOut is the auto group size on scalar worlds: MSWorldBFS's
+	// full source mask.
+	scalarFanOut = 64
 	// pairSearchTargets is the most targets a source can have for its
 	// pairs to run pair searches instead of one source traversal.
 	pairSearchTargets = 3
@@ -117,28 +119,29 @@ func PlanLanes(_ *ugraph.Graph, opts mc.Options, kind Kind) int {
 }
 
 // planFanOut resolves the source group size of a pair-estimator run's
-// source traversals: the explicit Options.FanOut when one was set,
-// otherwise the full 64-source mask on scalar worlds (the grouped BFS walks
-// each present arc of a level once for the whole group, so sharing always
-// amortizes), groupFanOut at 64 lanes and one source per traversal at 256.
+// source traversals. On scalar worlds it is the explicit Options.FanOut, or
+// scalarFanOut when auto (the grouped BFS walks each present arc of a level
+// once for the whole group, so sharing always amortizes), clamped to the
+// distinct sources. At batch widths it is the size of the full groups the
+// MSBFS kernel runs: groupFanOut at 64 lanes once distinct reaches it,
+// unless FanOut pins the per-source ablation, and 1 otherwise; the sources
+// outside full groups, and every source at 256 lanes, run one MaskBFS each.
 // distinct counts the sources that get a traversal — every distinct source
-// on scalar worlds, only the routed ones (routePairs) at batch widths. The
-// result is clamped to distinct and is always in 1..mc.MaxFanOut. Like the
-// lane width, fan-out is a pure execution decision — per-pair results are
-// bit-identical across every value. opts must have passed Validate.
+// on scalar worlds, only the routed ones (routePairs) at batch widths. Like
+// the lane width, fan-out is a pure execution decision — per-pair results
+// are bit-identical across every value. opts must have passed Validate.
 func planFanOut(opts mc.Options, distinct, lanes int) int {
-	fan := opts.FanOut
-	if fan == 0 {
-		switch lanes {
-		case 1:
-			fan = mc.MaxFanOut
-		case ugraph.BatchLanes:
-			if distinct >= groupFanOut {
-				fan = groupFanOut
-			}
+	switch {
+	case lanes == 1:
+		fan := opts.FanOut
+		if fan == 0 {
+			fan = scalarFanOut
 		}
+		return max(min(fan, distinct), 1)
+	case lanes == ugraph.BatchLanes && opts.FanOut != 1 && distinct >= groupFanOut:
+		return groupFanOut
 	}
-	return max(min(fan, distinct), 1)
+	return 1
 }
 
 // PlanFanOut reports the group size planFanOut would choose for a query

@@ -12,7 +12,8 @@ import (
 
 // BenchmarkPlannerGrid times the planner's automatic shape against each
 // engine shape it can pick — 64 lanes one source per traversal, 64 lanes
-// eight sources per traversal, 256 lanes one source per traversal — over
+// eight sources per traversal (full groups only), 256 lanes one source per
+// traversal — over
 // the grid the rule was fitted on, on the s10k- and s100k-size social
 // graphs of the benchmark of record (10k and 100k edges) and the committed
 // sample-social corpus graph (3k edges):
@@ -20,10 +21,11 @@ import (
 //   - reliability with one target per source (the paper's random pairs) at
 //     {4, 16} distinct sources × {128, 512} samples: every pair runs a pair
 //     search, so these rows time the lane width of pair searches;
-//   - reliability with eight targets per source at {4, 8} sources × {128,
-//     512} samples: every pair rides a source traversal, so these rows time
-//     the width and fan-out of source traversals (the shapes' fan-outs
-//     apply to these only);
+//   - reliability with eight targets per source at {4, 8, 13} sources ×
+//     {128, 512} samples: every pair rides a source traversal, so these rows
+//     time the width and fan-out of source traversals (the shapes' fan-outs
+//     apply to these only); at 64 lanes fan-out 8 runs no group for 4
+//     sources, and one group plus five sources on their own for 13;
 //   - connectivity at {128, 512} samples.
 //
 // Adaptive reliability at CI half-width 0.1 (one 128-sample round) and 0.02
@@ -60,7 +62,7 @@ func BenchmarkPlannerGrid(b *testing.B) {
 		{"eps0.1", 0, mc.WithConfidence(0.1, 0.05)},
 		{"eps0.02", 0, mc.WithConfidence(0.02, 0.05)},
 	}
-	pairSets := []struct{ sources, targets int }{{4, 1}, {16, 1}, {4, 8}, {8, 8}}
+	pairSets := []struct{ sources, targets int }{{4, 1}, {16, 1}, {4, 8}, {8, 8}, {13, 8}}
 	for _, gr := range graphs {
 		b.Run(gr.name, func(b *testing.B) {
 			g, err := gr.load()

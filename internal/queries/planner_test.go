@@ -43,10 +43,11 @@ func TestPlannerWidths(t *testing.T) {
 	}
 }
 
-// TestPlanFanOut pins the fan-out rule: explicit choices are honored up to
-// the distinct-source count, single-source queries never group, scalar
-// worlds take the full source mask, 64-lane runs group 8 sources once there
-// are 8, and 256-lane runs — planned or explicit — traverse per source.
+// TestPlanFanOut pins the fan-out rule: scalar worlds take the full
+// source mask on auto and honor an explicit 8, both clamped to the
+// distinct-source count; 64-lane runs report full groups of 8 once there
+// are 8 sources, unless FanOut pins the per-source ablation; and 256-lane
+// runs — planned or explicit — traverse per source.
 func TestPlanFanOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	g := randomQueryGraph(rng, 30, 0.2)
@@ -55,20 +56,23 @@ func TestPlanFanOut(t *testing.T) {
 		distinct int
 		want     int
 	}{
-		{mc.Options{FanOut: 16}, 256, 16},             // explicit, plenty of sources
-		{mc.Options{FanOut: 16}, 5, 5},                // clamped to distinct sources
-		{mc.Options{FanOut: 1}, 256, 1},               // per-source ablation
+		{mc.Options{Samples: 128, FanOut: 8}, 256, 8}, // explicit, plenty of sources
+		{mc.Options{Samples: 128, FanOut: 8}, 13, 8},  // one full group, five left over
+		{mc.Options{Samples: 128, FanOut: 8}, 5, 1},   // no full group
+		{mc.Options{FanOut: 8}, 256, 1},               // 500 samples: 256 lanes never group
+		{mc.Options{Samples: 128, FanOut: 1}, 256, 1}, // per-source ablation
 		{mc.Options{}, 1, 1},                          // nothing to group
 		{mc.Options{Lanes: 1}, 256, 64},               // scalar auto: full mask
 		{mc.Options{Lanes: 1}, 10, 10},                // scalar auto, clamped
-		{mc.Options{Lanes: 1, FanOut: 3}, 9, 3},       // explicit on scalar path
+		{mc.Options{Lanes: 1, FanOut: 8}, 9, 8},       // explicit on scalar path
+		{mc.Options{Lanes: 1, FanOut: 8}, 3, 3},       // explicit on scalar path, clamped
 		{mc.Options{Samples: 383}, 8, 8},              // 64 lanes, enough sources
 		{mc.Options{Samples: 383}, 7, 1},              // 64 lanes, too few to group
 		{mc.Options{Samples: 383}, 256, 8},            // 64 lanes, group of 8
 		{mc.Options{Samples: 384}, 16, 1},             // 256 lanes: per source
 		{mc.Options{Lanes: 256, Samples: 100}, 16, 1}, // explicit 256, fan-out auto
 		{mc.Options{Lanes: 64, Samples: 5000}, 16, 8}, // explicit 64 at a wide budget
-		{mc.Options{Lanes: 256, FanOut: 4}, 16, 4},    // explicit both
+		{mc.Options{Lanes: 256, FanOut: 8}, 16, 1},    // explicit both: 256 lanes never group
 	}
 	for i, c := range cases {
 		o := c.opts.WithDefaults()

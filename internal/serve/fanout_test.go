@@ -30,7 +30,7 @@ func TestQueryFanOutIsBitIdentical(t *testing.T) {
 	if ref.FanOut != "auto" {
 		t.Errorf("default fan_out echoed as %q, want auto", ref.FanOut)
 	}
-	for _, fan := range []string{"auto", "1", "8", "64"} {
+	for _, fan := range []string{"auto", "1", "8"} {
 		body := map[string]any{"graph": "g", "kind": "reliability", "pairs": reqPairs, "samples": 128, "seed": 5, "fan_out": fan}
 		var resp QueryResponse
 		if w := do(t, s, "POST", "/v1/query", body, &resp); w.Code != 200 {
@@ -48,7 +48,7 @@ func TestQueryFanOutIsBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	for _, bad := range []string{"0", "97", "wide"} {
+	for _, bad := range []string{"0", "64", "97", "wide"} {
 		body := map[string]any{"graph": "g", "kind": "reliability", "pairs": reqPairs, "fan_out": bad}
 		if w := do(t, s, "POST", "/v1/query", body, nil); w.Code != 400 {
 			t.Errorf("fan_out=%s: %d, want 400", bad, w.Code)
@@ -57,10 +57,10 @@ func TestQueryFanOutIsBitIdentical(t *testing.T) {
 }
 
 // TestCoalescedFanOutMatchesDirect: requests coalesced into one merged
-// multi-source flight (explicit FanOut pinned, and each request has a
-// source with six targets, past the pair-search cutoff of three, so the
-// flight's grouped traversal carries a source of every rider at once) must
-// each receive results bit-identical to a direct per-source library call.
+// flight (explicit FanOut pinned, and each request has a source with six
+// targets, past the pair-search cutoff of three, so the flight runs a
+// source traversal for a source of every rider) must each receive results
+// bit-identical to a direct per-source library call.
 func TestCoalescedFanOutMatchesDirect(t *testing.T) {
 	g := ugs.TwitterLike(90, 13)
 	rng := rand.New(rand.NewSource(41))

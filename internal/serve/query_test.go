@@ -84,6 +84,7 @@ func TestPlanQuery(t *testing.T) {
 		{name: "lanes 97", req: QueryRequest{Kind: "reliability", Pairs: pairs, Lanes: "97"}, err: "lane"},
 		{name: "lanes 128", req: QueryRequest{Kind: "reliability", Pairs: pairs, Lanes: "128"}, err: "lane"},
 		{name: "fan-out 65", req: QueryRequest{Kind: "reliability", Pairs: pairs, FanOut: "65"}, err: "fan"},
+		{name: "fan-out 4", req: QueryRequest{Kind: "reliability", Pairs: pairs, FanOut: "4"}, err: "fan"},
 		{name: "scalar lanes with confidence", req: QueryRequest{Kind: "connected", Lanes: "1", Confidence: conf}, err: "Lanes: 1"},
 		{name: "samples with confidence", req: QueryRequest{Kind: "connected", Samples: 100, Confidence: conf}, err: "mutually exclusive"},
 		{name: "eps 2", req: QueryRequest{Kind: "connected", Confidence: &Confidence{Eps: 2}}, err: "eps 2 outside"},

@@ -61,8 +61,9 @@ type Config struct {
 	// FanOut is the default source group size of pair queries' source
 	// traversals for queries that do not set "fan_out" themselves: 0 = the
 	// planner (auto), 1 = one traversal per source (the per-source
-	// ablation), 2..64 = explicit multi-source group sizes. Pairs whose
-	// source has few targets run pair searches, which it does not apply to.
+	// ablation), 8 = groups of eight sources (see mc.Options.FanOut). Pairs
+	// whose source has few targets run pair searches, which it does not
+	// apply to.
 	FanOut int
 	// WorldCacheBytes bounds the cross-request sampled-world cache
 	// (default 64 MiB; negative disables it). The cache keeps a block from
@@ -574,8 +575,8 @@ type QueryRequest struct {
 	Lanes string `json:"lanes,omitempty"`
 	// FanOut selects how many distinct sources one source traversal of a
 	// pair query carries: "auto" (the planner), "1" (one traversal per
-	// source, the per-source ablation) or "2".."64". Empty uses the server
-	// default. Pairs whose source has few targets run pair searches, which
+	// source, the per-source ablation) or "8" (groups of eight sources);
+	// other values are rejected with 400. Empty uses the server default. Pairs whose source has few targets run pair searches, which
 	// it does not apply to. Like Lanes it is an execution choice only —
 	// per-pair estimates are bit-identical across every fan-out.
 	FanOut string `json:"fan_out,omitempty"`

@@ -26,21 +26,16 @@ import (
 	"ugs/internal/ugraph"
 )
 
+// maxT bounds the stretch-parameter search.
+const maxT = 32
+
 // Options tunes the SS benchmark sparsifier.
 type Options struct {
-	// MaxT bounds the stretch-parameter search. Default 32.
-	MaxT int
 	// Seed drives cluster sampling and fill-up.
 	Seed int64
 	// Progress, when non-nil, receives a RunStats snapshot after every
 	// spanner construction of the stretch-parameter search.
 	Progress func(core.RunStats)
-}
-
-func (o *Options) defaults() {
-	if o.MaxT == 0 {
-		o.MaxT = 32
-	}
 }
 
 // Sparsify reduces g to α·|E| edges with the SS benchmark. The returned
@@ -49,7 +44,6 @@ func (o *Options) defaults() {
 // size before truncation/fill-up (AuxEdges). Cancelling ctx aborts between
 // spanner constructions and returns the context's error.
 func Sparsify(ctx context.Context, g *ugraph.Graph, alpha float64, opts Options) (*ugraph.Graph, *core.RunStats, error) {
-	opts.defaults()
 	if !(alpha > 0 && alpha < 1) {
 		return nil, nil, fmt.Errorf("spanner: sparsification ratio α = %v outside (0,1)", alpha)
 	}
@@ -72,7 +66,7 @@ func Sparsify(ctx context.Context, g *ugraph.Graph, alpha float64, opts Options)
 	// fits, rerunning while the realized size overshoots. One scratch
 	// serves every spanner construction of the search.
 	t := 1
-	for t < opts.MaxT && float64(t)*math.Pow(n, 1+1/float64(t)) > float64(target) {
+	for t < maxT && float64(t)*math.Pow(n, 1+1/float64(t)) > float64(target) {
 		t++
 	}
 	sc := newBSScratch(g.NumVertices(), m)
@@ -87,14 +81,14 @@ func Sparsify(ctx context.Context, g *ugraph.Graph, alpha float64, opts Options)
 		if opts.Progress != nil {
 			opts.Progress(core.RunStats{Iterations: builds, StretchT: t, AuxEdges: len(edges)})
 		}
-		if len(edges) <= target || t >= opts.MaxT {
+		if len(edges) <= target || t >= maxT {
 			break
 		}
 		t++
 	}
 	spannerEdges := len(edges)
 	if len(edges) > target {
-		// Budget is binding even at MaxT: keep the lightest edges (the
+		// Budget is binding even at maxT: keep the lightest edges (the
 		// most probable ones) deterministically.
 		sortByWeight(edges, weights)
 		edges = edges[:target]

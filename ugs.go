@@ -121,10 +121,10 @@ var (
 	ParseLanes = mc.ParseLanes
 	// FormatLanes is the inverse of ParseLanes.
 	FormatLanes = mc.FormatLanes
-	// ParseFanOut resolves a -fan-out flag value ("auto", "1".."64") to
-	// the MCOptions.FanOut encoding: how many distinct query sources one
-	// source traversal of a pair estimator carries. Pairs whose source has
-	// few targets run pair searches, which no fan-out applies to.
+	// ParseFanOut resolves a -fan-out flag value ("auto", "1", "8") to the
+	// MCOptions.FanOut encoding: how many distinct query sources one source
+	// traversal of a pair estimator carries. Pairs whose source has few
+	// targets run pair searches, which no fan-out applies to.
 	ParseFanOut = mc.ParseFanOut
 	// FormatFanOut is the inverse of ParseFanOut.
 	FormatFanOut = mc.FormatFanOut
