@@ -102,35 +102,32 @@ type RunStats struct {
 	EdgeVisits int
 }
 
-// gdbSweeps is the iterative core of Algorithm 2, shared with EMD's M-phase
-// and with the Dynamic's initial optimization and repairs. It mutates the
-// tracker in place. The context is checked once per sweep.
+// gdbSweepsWith is the iterative core of Algorithm 2, shared with EMD's
+// M-phase and with the Dynamic's initial optimization and repairs. It
+// mutates the tracker in place. The context is checked once per sweep.
 //
 // Each sweep visits every backbone edge in order and applies the Equation
 // (9) update: take the optimal step, clamp to [0, 1], and if the (unclamped)
 // assignment would increase the edge's entropy apply only the fraction h of
 // the step. The degree rule (k = 1) runs in degreeSweep, a loop with no call
 // and no data-dependent branch; the k ≠ 1 cut rules run in cutSweep. Both
-// compute exactly what tracker.setProb would. Where the AVX-512 kernel runs
-// (hasDegreeKernel), the degree rule is ordered once per call into
-// vertex-disjoint levels and each sweep runs eight edges at a time through
-// it (levelSchedule), with bit-identical results.
+// compute exactly what tracker.setProb would. When ls is not nil, the
+// degree rule instead runs eight edges at a time through the AVX-512 kernel
+// on ls, backbone's levels of vertex-disjoint edges, with bit-identical
+// results. The caller builds ls and keeps it; gdbSweepsWith writes its
+// probabilities back to the tracker when it returns, so ls stays valid for
+// the same backbone once its d_u(G) and 1/d² are gathered again
+// (Dynamic.schedule).
 //
 // Convergence is decided on the O(1) incrementally-maintained objective;
 // when it signals convergence (and on MaxIters exhaustion) the objective is
 // recomputed exactly, bounding float drift in the reported D1.
-func gdbSweeps(ctx context.Context, t *tracker, backbone []int, opts GDBOptions) (RunStats, error) {
+func gdbSweepsWith(ctx context.Context, t *tracker, backbone []int, opts GDBOptions, ls *levelSchedule) (RunStats, error) {
 	h := effectiveH(opts.H)
 	dt, k := opts.Discrepancy, opts.K
 	degreeRule := k == 1 && t.n > 1 // tracker.step's k = 1 case
-	var ls *levelSchedule
-	if degreeRule && hasDegreeKernel {
-		if ls = newLevelSchedule(t, backbone, minLanesPerBlock); ls != nil {
-			defer func() {
-				ls.writeBack(t)
-				levelPool.Put(ls)
-			}()
-		}
+	if ls != nil {
+		defer ls.writeBack(t)
 	}
 	prev := t.objectiveD1(dt)
 	iters := 0
@@ -163,6 +160,20 @@ func gdbSweeps(ctx context.Context, t *tracker, backbone []int, opts GDBOptions)
 		prev = t.objectiveD1(dt)
 	}
 	return RunStats{Iterations: iters, ObjectiveD1: prev, EdgeVisits: iters * len(backbone)}, nil
+}
+
+// gdbSweeps runs gdbSweepsWith on a level schedule drawn from levelPool for
+// the length of the call, where the degree rule can run the kernel (see
+// newLevelSchedule). Sparsify's GDB, EMD's M-phases and NewDynamic sweep
+// this way; a Dynamic's repairs keep their own schedule.
+func gdbSweeps(ctx context.Context, t *tracker, backbone []int, opts GDBOptions) (RunStats, error) {
+	var ls *levelSchedule
+	if opts.K == 1 && t.n > 1 && hasDegreeKernel {
+		if ls = newLevelSchedule(t, backbone, minLanesPerBlock); ls != nil {
+			defer levelPool.Put(ls)
+		}
+	}
+	return gdbSweepsWith(ctx, t, backbone, opts, ls)
 }
 
 // degreeSweep runs one sweep of the k = 1 degree rule (Equation 8, with the

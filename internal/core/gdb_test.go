@@ -281,9 +281,9 @@ func TestGDBQuickInvariants(t *testing.T) {
 
 // TestGDBSweepsSteadyStateAllocsZero verifies the sweep engine itself —
 // tracker updates, incremental objective, convergence checks — runs without
-// allocating once the tracker exists. The level schedule comes from a
-// sync.Pool, whose items the race detector drops on purpose, so the
-// allocation check is skipped under -race.
+// allocating once the tracker exists. The level schedule is the caller's,
+// as a Dynamic's repairs keep theirs, so no pool is involved and the check
+// holds under -race too.
 func TestGDBSweepsSteadyStateAllocsZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := randomConnectedGraph(rng, 80, 0.2)
@@ -294,15 +294,17 @@ func TestGDBSweepsSteadyStateAllocsZero(t *testing.T) {
 	opts := GDBOptions{H: 0.05, MaxIters: 5}
 	opts.defaults(g.NumVertices())
 	tr := newTracker(g, backbone)
+	var ls *levelSchedule
+	if hasDegreeKernel {
+		ls = new(levelSchedule)
+		if !ls.build(tr, backbone, minLanesPerBlock) {
+			ls = nil
+		}
+	}
+	t.Logf("kernel schedule: %v", ls != nil)
 	ctx := context.Background()
-	if _, err := gdbSweeps(ctx, tr, backbone, opts); err != nil {
-		t.Fatal(err)
-	}
-	if raceEnabled {
-		t.Skip("the race detector drops pooled items on purpose")
-	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := gdbSweeps(ctx, tr, backbone, opts); err != nil {
+		if _, err := gdbSweepsWith(ctx, tr, backbone, opts, ls); err != nil {
 			t.Fatal(err)
 		}
 	})

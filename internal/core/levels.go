@@ -48,8 +48,9 @@ const (
 //
 // Each level starts a block, so its last block may have idle lanes. The
 // schedule holds the backbone's current probabilities while it runs, and
-// writeBack stores them in the tracker. Its buffers come from levelPool, so
-// a schedule keeps nothing on the live heap between calls.
+// writeBack stores them in the tracker. A one-off run draws it from
+// levelPool and a Dynamic keeps its own (Dynamic.schedule), so neither
+// holds one on the live heap past a collection.
 type levelSchedule struct {
 	counts []int32   // edges per level
 	at     []int32   // per backbone position, the index in inc of its record; then prefetchAhead zeros
@@ -153,10 +154,32 @@ func (ls *levelSchedule) build(t *tracker, backbone []int, minLanes int) bool {
 			clear(ib[kernelLanes+lane:])
 		}
 	}
-	for b := 0; b < blocks; b += kernelChunk {
-		degreeVertsAVX512(&f[b*fBlock], &idx[b*idxBlock], min(kernelChunk, blocks-b), &t.origDeg[0], &t.invSq[0])
-	}
+	ls.gatherVerts(t)
 	return true
+}
+
+// gatherVerts loads every slot's d_u(G), d_v(G) and 1/d² from the tracker.
+func (ls *levelSchedule) gatherVerts(t *tracker) {
+	blocks := len(ls.idx) / idxBlock
+	for b := 0; b < blocks; b += kernelChunk {
+		degreeVertsAVX512(&ls.f[b*fBlock], &ls.idx[b*idxBlock], min(kernelChunk, blocks-b), &t.origDeg[0], &t.invSq[0])
+	}
+}
+
+// remapIDs carries the schedule through a structural batch that left
+// backbone membership unchanged: it maps each slot's edge id through
+// oldToNew. The endpoints, and with them the levels and the layout, stay.
+func (ls *levelSchedule) remapIDs(oldToNew []int32) {
+	s := 0
+	for _, c := range ls.counts {
+		for ; c > 0; c -= kernelLanes {
+			ids := ls.id[s : s+int(min(c, kernelLanes))]
+			for i, id := range ids {
+				ids[i] = oldToNew[id]
+			}
+			s += kernelLanes
+		}
+	}
 }
 
 // sweep runs one degree-rule sweep (see tracker.degreeSweep) on the kernel,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"weak"
 
 	"ugs/internal/ugraph"
 )
@@ -60,6 +61,10 @@ func (o *DynOptions) defaults() {
 // have drifted the graph far from the state the initial backbone was built
 // for, a fresh sparsification remains the quality-recovery path.
 //
+// A repair edits the current graph in place once the Dynamic owns its
+// storage; it never writes the graph passed to NewDynamic. So the graph
+// that Graph returns stays valid only until the next Repair.
+//
 // Dynamic is not safe for concurrent use.
 type Dynamic struct {
 	opts     DynOptions
@@ -67,7 +72,34 @@ type Dynamic struct {
 	g        *ugraph.Graph
 	t        *tracker
 	backbone []int // always sorted ascending; the sweep order of repairs
+
+	// ownEdges and ownCSR record which of g's arrays belong to the Dynamic
+	// alone, so that a repair may edit them in place (see apply).
+	ownEdges, ownCSR bool
+	// kept is what a repair leaves the next one. It is weak, so that a
+	// collection drops it rather than keep it on the live heap between
+	// repairs (3.4 MB on a 100k-edge graph); a repair that finds it
+	// gone starts a new one.
+	kept weak.Pointer[repairScratch]
+	// schedules counts how repairs came by their level schedules.
+	schedules struct{ reused, remapped, rebuilt int }
 }
+
+// repairScratch is the state a Dynamic's repairs reuse while the collector
+// lets them.
+type repairScratch struct {
+	ls       levelSchedule
+	state    scheduleState // what ls holds
+	oldToNew []int32       // ApplyEditsInPlace's id map
+}
+
+type scheduleState uint8
+
+const (
+	scheduleNone     scheduleState = iota // nothing: build before use
+	scheduleBuilt                         // the current backbone's schedule
+	scheduleDeclined                      // the current backbone runs tracker.degreeSweep
+)
 
 // RepairStats reports one Repair call.
 type RepairStats struct {
@@ -136,7 +168,8 @@ func NewDynamic(ctx context.Context, g *ugraph.Graph, alpha float64, opts DynOpt
 }
 
 // Graph returns the current (post-edit) base graph. Callers must not mutate
-// it.
+// it, and it stays valid only until the next Repair, which may edit it in
+// place.
 func (d *Dynamic) Graph() *ugraph.Graph { return d.g }
 
 // Backbone returns a copy of the current backbone edge ids (ascending, in
@@ -170,14 +203,28 @@ func (d *Dynamic) Repair(ctx context.Context, edits []ugraph.EdgeEdit) (*RepairS
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res, err := ugraph.ApplyEdits(d.g, edits)
+	sc := d.kept.Value()
+	if sc == nil {
+		sc = new(repairScratch)
+	}
+	// Resolved on the pre-edit graph, which an in-place batch overwrites.
+	var deleted []int
+	for _, ed := range edits {
+		if ed.Op == ugraph.EditDelete {
+			if id, ok := d.g.EdgeID(ed.U, ed.V); ok {
+				deleted = append(deleted, id)
+			}
+		}
+	}
+	res, err := d.apply(edits, sc)
 	if err != nil {
 		return nil, err
 	}
 	stats := &RepairStats{Edits: len(edits), Structural: res.Structural}
 	t := d.t
+	held := true // the batch leaves backbone membership as it was
 	if res.Structural {
-		d.remap(res, edits)
+		held = d.remap(res, deleted)
 	}
 	for _, ed := range edits {
 		if ed.Op == ugraph.EditReweight {
@@ -189,18 +236,75 @@ func (d *Dynamic) Repair(ctx context.Context, edits []ugraph.EdgeEdit) (*RepairS
 	t.g = res.Graph
 
 	stats.BackboneAdded, stats.BackboneRemoved = d.maintainBackbone()
+	held = held && stats.BackboneAdded == 0 && stats.BackboneRemoved == 0
 	stats.DirtyVertices = t.resyncAfterEdits(d.backbone, edits)
 
 	sOpts := GDBOptions{Discrepancy: d.opts.Discrepancy, K: 1, H: d.opts.H, Tau: d.opts.Tau,
 		MaxIters: d.opts.RepairSweeps}
 	sOpts.defaults(d.g.NumVertices())
 	sOpts.MaxIters = d.opts.RepairSweeps // defaults() must not widen the cap
-	run, err := gdbSweeps(context.WithoutCancel(ctx), t, d.backbone, sOpts)
+	run, err := gdbSweepsWith(context.WithoutCancel(ctx), t, d.backbone, sOpts, d.schedule(sc, res.OldToNew, held))
+	d.kept = weak.Make(sc)
 	if err != nil {
 		return nil, err
 	}
 	stats.Sweeps, stats.EdgeVisits, stats.ObjectiveD1 = run.Iterations, run.EdgeVisits, run.ObjectiveD1
 	return stats, nil
+}
+
+// apply applies a batch to the current graph: in place where the Dynamic
+// owns the arrays the batch writes (the edge list, and for a structural
+// batch the CSR too), otherwise through ApplyEdits, whose result it then
+// owns, except for the CSR that a reweight-only batch shares with a heap
+// input. So the graph passed to NewDynamic is never written.
+func (d *Dynamic) apply(edits []ugraph.EdgeEdit, sc *repairScratch) (*ugraph.EditResult, error) {
+	structural := slices.ContainsFunc(edits, func(ed ugraph.EdgeEdit) bool { return ed.Op != ugraph.EditReweight })
+	if d.ownEdges && (d.ownCSR || !structural) {
+		res, err := ugraph.ApplyEditsInPlace(d.g, edits, sc.oldToNew)
+		if err == nil && res.Structural {
+			sc.oldToNew = res.OldToNew
+		}
+		return res, err
+	}
+	res, err := ugraph.ApplyEdits(d.g, edits)
+	if err != nil {
+		return nil, err
+	}
+	d.ownEdges, d.ownCSR = true, res.Structural || d.g.Mapped()
+	return res, nil
+}
+
+// schedule returns the level schedule for a repair's sweeps, or nil where
+// they run tracker.degreeSweep. held reports that the batch left backbone
+// membership unchanged, and with it the backbone's sequence of endpoint
+// pairs, so its levels and layout. A kept schedule then needs only its edge
+// ids mapped through oldToNew (nil for a reweight-only batch) and d_u(G)
+// and 1/d² gathered again; its probabilities are the tracker's since
+// writeBack. Otherwise it is built anew.
+func (d *Dynamic) schedule(sc *repairScratch, oldToNew []int32, held bool) *levelSchedule {
+	if !hasDegreeKernel || d.t.n <= 1 {
+		return nil
+	}
+	switch {
+	case !held || sc.state == scheduleNone:
+		sc.state = scheduleDeclined
+		if sc.ls.build(d.t, d.backbone, minLanesPerBlock) {
+			sc.state = scheduleBuilt
+		}
+		d.schedules.rebuilt++
+	case sc.state == scheduleDeclined:
+	case oldToNew != nil:
+		sc.ls.remapIDs(oldToNew)
+		sc.ls.gatherVerts(d.t)
+		d.schedules.remapped++
+	default:
+		sc.ls.gatherVerts(d.t)
+		d.schedules.reused++
+	}
+	if sc.state != scheduleBuilt {
+		return nil
+	}
+	return &sc.ls
 }
 
 // remap carries the tracker's per-edge arrays and the backbone list into
@@ -209,20 +313,18 @@ func (d *Dynamic) Repair(ctx context.Context, edits []ugraph.EdgeEdit) (*RepairS
 // target probability of each reweighted one), and inserted edges start
 // outside the backbone. ApplyEdits keeps survivors in their relative order,
 // so each array is compacted in place by moving the runs between the
-// batch's deleted ids (found with EdgeID on the pre-edit graph) down over
-// the gaps; the work outside those moves is proportional to the batch and
-// the backbone. The backbone list is mapped through OldToNew, which is
-// monotone, so it stays sorted.
-func (d *Dynamic) remap(res *ugraph.EditResult, edits []ugraph.EdgeEdit) {
+// batch's deleted ids (resolved on the pre-edit graph) down over the gaps;
+// the work outside those moves is proportional to the batch and the
+// backbone. The backbone list is mapped through OldToNew, which is
+// monotone, so it stays sorted. remap reports whether the backbone kept
+// every member.
+func (d *Dynamic) remap(res *ugraph.EditResult, deleted []int) bool {
 	t := d.t
-	var deleted []int
-	for _, ed := range edits {
-		if ed.Op == ugraph.EditDelete {
-			id, _ := d.g.EdgeID(ed.U, ed.V)
-			deleted = append(deleted, id)
-			if t.inBackbone[id] {
-				t.nBackbone--
-			}
+	kept := true
+	for _, id := range deleted {
+		if t.inBackbone[id] {
+			t.nBackbone--
+			kept = false
 		}
 	}
 	slices.Sort(deleted)
@@ -244,6 +346,7 @@ func (d *Dynamic) remap(res *ugraph.EditResult, edits []ugraph.EdgeEdit) {
 		}
 	}
 	d.backbone = bb
+	return kept
 }
 
 // compact removes the entries at the ascending indices deleted from s in

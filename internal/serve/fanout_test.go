@@ -57,26 +57,41 @@ func TestQueryFanOutIsBitIdentical(t *testing.T) {
 }
 
 // TestCoalescedFanOutMatchesDirect: requests coalesced into one merged
-// flight (explicit FanOut pinned, and each request has a source with six
-// targets, past the pair-search cutoff of three, so the flight runs a
-// source traversal for a source of every rider) must each receive results
-// bit-identical to a direct per-source library call.
+// flight (explicit FanOut 8 pinned) must each receive results bit-identical
+// to a direct per-source library call. The first request, random pairs
+// only, flies alone while the gate holds it; the three queued behind it
+// merge. Those riders bring 3, 3 and 2 sources with six targets each, past
+// the pair-search cutoff of three, beside random pairs from other sources.
+// So the merged flight runs one eight-source MSBFS group filled from all
+// three requests, where each request alone would run one MaskBFS per
+// source.
 func TestCoalescedFanOutMatchesDirect(t *testing.T) {
 	g := ugs.TwitterLike(90, 13)
 	rng := rand.New(rand.NewSource(41))
 	const seed, samples, fan = 19, 128, 8
 	b, firstStarted, release := gatedBatcher(t)
 
-	withManyTargets := func(pairs []ugs.Pair, src int) []ugs.Pair {
-		for i := 0; i < 6; i++ {
-			pairs = append(pairs, ugs.Pair{S: src, T: (src + 11*i + 1) % g.NumVertices()})
+	// request draws k random pairs from sources outside 10–17, then six
+	// targets for each of srcs.
+	request := func(k int, srcs ...int) []ugs.Pair {
+		var pairs []ugs.Pair
+		for _, p := range ugs.RandomPairs(g.NumVertices(), 2*k, rng) {
+			if len(pairs) < k && (p.S < 10 || p.S > 17) {
+				pairs = append(pairs, p)
+			}
+		}
+		for _, src := range srcs {
+			for i := 0; i < 6; i++ {
+				pairs = append(pairs, ugs.Pair{S: src, T: (src + 11*i + 1) % g.NumVertices()})
+			}
 		}
 		return pairs
 	}
 	reqPairs := [][]ugs.Pair{
-		withManyTargets(ugs.RandomPairs(g.NumVertices(), 6, rng), 10),
-		withManyTargets(ugs.RandomPairs(g.NumVertices(), 4, rng), 11),
-		withManyTargets(ugs.RandomPairs(g.NumVertices(), 5, rng), 12),
+		request(6),
+		request(4, 10, 11, 12),
+		request(5, 13, 14, 15),
+		request(3, 16, 17),
 	}
 
 	type out struct {

@@ -1,6 +1,10 @@
 package ugraph
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // EditOp enumerates the streaming edge-update operations.
 type EditOp int
@@ -101,27 +105,39 @@ type EditResult struct {
 // inserted edges are appended in batch order, with the old-to-new mapping
 // reported in the result.
 func ApplyEdits(g *Graph, edits []EdgeEdit) (*EditResult, error) {
+	ids, inserts, deletes, err := validateEdits(g, edits)
+	if err != nil {
+		return nil, err
+	}
+	if inserts+deletes > 0 {
+		return applyStructural(g, edits, ids, inserts), nil
+	}
+	return applyReweights(g, edits, ids), nil
+}
+
+// validateEdits checks a batch against g (see ApplyEdits) and returns the
+// resolved edge id of each edit (-1 for an insert) and the numbers of
+// inserts and deletes.
+func validateEdits(g *Graph, edits []EdgeEdit) (ids []int, inserts, deletes int, err error) {
 	if len(edits) == 0 {
-		return nil, &EditError{Index: -1, Reason: "empty edit batch"}
+		return nil, 0, 0, &EditError{Index: -1, Reason: "empty edit batch"}
 	}
 	n := g.NumVertices()
 	seen := make(map[uint64]struct{}, len(edits))
-	ids := make([]int, len(edits)) // resolved edge id of each delete/reweight
-	inserts := 0
-	structural := false
+	ids = make([]int, len(edits))
 	for i, ed := range edits {
-		fail := func(reason string) error {
-			return &EditError{Index: i, Edit: ed, Reason: reason}
+		fail := func(reason string) ([]int, int, int, error) {
+			return nil, 0, 0, &EditError{Index: i, Edit: ed, Reason: reason}
 		}
 		if ed.U < 0 || ed.U >= n || ed.V < 0 || ed.V >= n {
-			return nil, fail(fmt.Sprintf("endpoint out of range [0,%d)", n))
+			return fail(fmt.Sprintf("endpoint out of range [0,%d)", n))
 		}
 		if ed.U == ed.V {
-			return nil, fail("self-loop")
+			return fail("self-loop")
 		}
 		k := pairKey(ed.U, ed.V)
 		if _, dup := seen[k]; dup {
-			return nil, fail("duplicate edge pair in batch")
+			return fail("duplicate edge pair in batch")
 		}
 		seen[k] = struct{}{}
 		id, exists := g.EdgeID(ed.U, ed.V)
@@ -129,36 +145,32 @@ func ApplyEdits(g *Graph, edits []EdgeEdit) (*EditResult, error) {
 		switch ed.Op {
 		case EditInsert:
 			if exists {
-				return nil, fail("edge already exists (use reweight)")
+				return fail("edge already exists (use reweight)")
 			}
 			if !(ed.P > 0 && ed.P <= 1) {
-				return nil, fail(fmt.Sprintf("probability %v outside (0,1]", ed.P))
+				return fail(fmt.Sprintf("probability %v outside (0,1]", ed.P))
 			}
 			inserts++
-			structural = true
 		case EditDelete:
 			if !exists {
-				return nil, fail("edge does not exist")
+				return fail("edge does not exist")
 			}
-			structural = true
+			deletes++
 		case EditReweight:
 			if !exists {
-				return nil, fail("edge does not exist (use insert)")
+				return fail("edge does not exist (use insert)")
 			}
 			if !(ed.P > 0 && ed.P <= 1) {
 				if ed.P == 0 {
-					return nil, fail("probability 0 (use delete)")
+					return fail("probability 0 (use delete)")
 				}
-				return nil, fail(fmt.Sprintf("probability %v outside (0,1]", ed.P))
+				return fail(fmt.Sprintf("probability %v outside (0,1]", ed.P))
 			}
 		default:
-			return nil, fail(fmt.Sprintf("unknown op %d", int(ed.Op)))
+			return fail(fmt.Sprintf("unknown op %d", int(ed.Op)))
 		}
 	}
-	if structural {
-		return applyStructural(g, edits, ids, inserts), nil
-	}
-	return applyReweights(g, edits, ids), nil
+	return ids, inserts, deletes, nil
 }
 
 // applyReweights handles a reweight-only batch: identifiers are stable, so
@@ -264,6 +276,140 @@ func applyStructural(g *Graph, edits []EdgeEdit, ids []int, inserts int) *EditRe
 	}
 	ng := &Graph{n: n, edges: edges, arcOff: arcOff, arcs: arcs}
 	return &EditResult{Graph: ng, OldToNew: oldToNew, InsertedIDs: insertedIDs, Structural: true}
+}
+
+// ApplyEditsInPlace applies a batch to g itself. It validates the batch as
+// ApplyEdits does and is as atomic: an invalid batch returns an *EditError
+// and leaves g untouched. The result's edge list, CSR, OldToNew and
+// InsertedIDs equal ApplyEdits', but its Graph is g, so slices obtained from
+// g before the call may be stale after it.
+//
+// g must be a heap graph whose edge list, and for a structural batch whose
+// CSR, no other graph shares: a reweight-only batch writes only the edited
+// edge records, while a structural one compacts the edge list and the arc
+// array in place (see editArcs). A structural result's OldToNew reuses the
+// storage of oldToNew when it is large enough.
+func ApplyEditsInPlace(g *Graph, edits []EdgeEdit, oldToNew []int32) (*EditResult, error) {
+	if g.readonly {
+		panic("ugraph: ApplyEditsInPlace on a read-only mapped graph")
+	}
+	ids, inserts, deletes, err := validateEdits(g, edits)
+	if err != nil {
+		return nil, err
+	}
+	var deleted []int
+	for i, ed := range edits {
+		switch ed.Op {
+		case EditReweight:
+			g.edges[ids[i]].P = ed.P
+		case EditDelete:
+			deleted = append(deleted, ids[i])
+		}
+	}
+	if inserts+deletes == 0 {
+		return &EditResult{Graph: g}, nil
+	}
+
+	m := len(g.edges)
+	oldToNew = slices.Grow(oldToNew[:0], m)[:m]
+	clear(oldToNew)
+	for _, id := range deleted {
+		oldToNew[id] = -1
+	}
+	kept := int32(0)
+	for id, nid := range oldToNew {
+		if nid == 0 {
+			oldToNew[id] = kept
+			kept++
+		}
+	}
+	// Survivors move down over the gaps, run by run.
+	slices.Sort(deleted)
+	edges := g.edges
+	if len(deleted) > 0 {
+		w := deleted[0]
+		for i, del := range deleted {
+			next := m
+			if i+1 < len(deleted) {
+				next = deleted[i+1]
+			}
+			w += copy(edges[w:], edges[del+1:next])
+		}
+		edges = edges[:w]
+	}
+	edges = slices.Grow(edges, inserts)
+	insertedIDs := make([]int, 0, inserts)
+	for _, ed := range edits {
+		if ed.Op == EditInsert {
+			insertedIDs = append(insertedIDs, len(edges))
+			edges = append(edges, Edge{U: min(ed.U, ed.V), V: max(ed.U, ed.V), P: ed.P})
+		}
+	}
+	g.edges = edges
+	g.editArcs(oldToNew, deletes > 0, insertedIDs)
+	return &EditResult{Graph: g, OldToNew: oldToNew, InsertedIDs: insertedIDs, Structural: true}, nil
+}
+
+// editArcs brings g's CSR in place to the layout buildAdjacency gives its
+// edited edge list: with deletes, one ascending pass drops the deleted arcs
+// and renames the others through oldToNew (every move is downwards); then
+// the arcs of the inserted edges, which carry the highest ids and so end
+// their rows, open gaps from the last row down, each move a memmove of the
+// run between two insertion points.
+func (g *Graph) editArcs(oldToNew []int32, deletes bool, insertedIDs []int) {
+	n, arcOff, arcs := g.n, g.arcOff, g.arcs
+	if deletes {
+		w, start := int32(0), arcOff[0]
+		for u := 0; u < n; u++ {
+			end := arcOff[u+1]
+			arcOff[u] = w
+			for _, a := range arcs[start:end] {
+				if id := oldToNew[a.ID]; id >= 0 {
+					arcs[w] = Arc{To: a.To, ID: int(id)}
+					w++
+				}
+			}
+			start = end
+		}
+		arcOff[n] = w
+		arcs = arcs[:w]
+	}
+	if len(insertedIDs) == 0 {
+		g.arcs = arcs
+		return
+	}
+
+	type rowArc struct {
+		row int
+		arc Arc
+	}
+	ins := make([]rowArc, 0, 2*len(insertedIDs))
+	for _, id := range insertedIDs {
+		e := g.edges[id]
+		ins = append(ins, rowArc{e.U, Arc{To: e.V, ID: id}}, rowArc{e.V, Arc{To: e.U, ID: id}})
+	}
+	// Stable: a row's inserted arcs stay in ascending id order.
+	slices.SortStableFunc(ins, func(a, b rowArc) int { return cmp.Compare(a.row, b.row) })
+	end, shift := len(arcs), len(ins)
+	arcs = slices.Grow(arcs, shift)[:end+shift]
+	for i := len(ins) - 1; i >= 0; {
+		u := ins[i].row
+		rowEnd := int(arcOff[u+1])
+		copy(arcs[rowEnd+shift:], arcs[rowEnd:end])
+		for ; i >= 0 && ins[i].row == u; i-- {
+			shift--
+			arcs[rowEnd+shift] = ins[i].arc
+		}
+		end = rowEnd
+	}
+	added := int32(0)
+	for u, j := ins[0].row, 0; u < n; u++ {
+		for ; j < len(ins) && ins[j].row == u; j++ {
+			added++
+		}
+		arcOff[u+1] += added
+	}
+	g.arcs = arcs
 }
 
 // EditLog accumulates applied edit batches over a base graph so a storage

@@ -153,7 +153,8 @@ func encodeEditBatch(batch []EdgeEdit) []byte {
 // list, CSR offsets and arcs equal New over that same edge list; EdgeID on
 // the result must then find every edge in both endpoint orders and report
 // absent pairs, out-of-range vertices and u == v as missing. The heap and
-// mapped inputs must agree on the outcome.
+// mapped inputs must agree on the outcome, and ApplyEditsInPlace must agree
+// with both (see checkInPlace).
 func FuzzApplyEdits(f *testing.F) {
 	g := fuzzEditGraph()
 	path := filepath.Join(f.TempDir(), "g.ugsb")
@@ -216,32 +217,20 @@ func FuzzApplyEdits(f *testing.F) {
 	f.Add([]byte{byte(EditInsert), 1, 4, 2})
 	f.Add([]byte{3, 1, 4, 100})
 
-	type snapshot struct {
-		edges  []Edge
-		arcOff []int32
-		arcs   []Arc
-	}
-	snap := func(h *Graph) snapshot {
-		return snapshot{
-			append([]Edge(nil), h.Edges()...),
-			append([]int32(nil), h.ArcOffsets()...),
-			append([]Arc(nil), h.Arcs()...),
-		}
-	}
 	before := snap(g)
-	sameAs := func(h *Graph, s snapshot) bool {
-		return slices.Equal(h.Edges(), s.edges) && slices.Equal(h.ArcOffsets(), s.arcOff) &&
-			slices.Equal(h.Arcs(), s.arcs)
-	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batch := decodeEditBatch(data, n)
 		var results [2]*Graph
 		var errs [2]error
+		var heapRes *EditResult
 		for i, in := range []*Graph{g, mg} {
 			res, err := ApplyEdits(in, batch)
-			if !sameAs(in, before) {
+			if !before.of(in) {
 				t.Fatalf("input %d modified by ApplyEdits(%v)", i, batch)
+			}
+			if i == 0 {
+				heapRes = res
 			}
 			errs[i] = err
 			if err != nil {
@@ -256,7 +245,7 @@ func FuzzApplyEdits(f *testing.F) {
 			if err != nil {
 				t.Fatalf("input %d: result edge list rejected by New: %v", i, err)
 			}
-			if !sameAs(res.Graph, snap(want)) {
+			if !snap(want).of(res.Graph) {
 				t.Fatalf("input %d: result CSR differs from New over its edges\nbatch %v\noffsets %v want %v\narcs %v\nwant %v",
 					i, batch, res.Graph.ArcOffsets(), want.ArcOffsets(), res.Graph.Arcs(), want.Arcs())
 			}
@@ -268,7 +257,70 @@ func FuzzApplyEdits(f *testing.F) {
 		if errs[0] == nil && !results[0].Equal(results[1]) {
 			t.Fatalf("heap and mapped results differ for %v", batch)
 		}
+		checkInPlace(t, g, before, batch, heapRes, errs[0])
 	})
+}
+
+// checkInPlace applies batch the way a Dynamic applies it to storage it
+// owns, with ApplyEditsInPlace: on a clone of g, passing an id-map buffer
+// of stale contents, and, for a reweight-only batch, on a graph with its
+// own edge list that shares g's CSR (what a reweight-only ApplyEdits
+// returns). Each must give ApplyEdits' error wantErr, or its result want
+// in the graph it was given, and leave g as before.
+func checkInPlace(t *testing.T, g *Graph, before snapshot, batch []EdgeEdit, want *EditResult, wantErr error) {
+	t.Helper()
+	stale := make([]int32, g.NumEdges()+3)
+	for i := range stale {
+		stale[i] = int32(7*i - 5)
+	}
+	targets := []*Graph{g.Clone()}
+	if want != nil && !want.Structural {
+		targets = append(targets, &Graph{n: g.n, edges: slices.Clone(g.edges), arcOff: g.arcOff, arcs: g.arcs})
+	}
+	for i, h := range targets {
+		res, err := ApplyEditsInPlace(h, batch, stale)
+		if !before.of(g) {
+			t.Fatalf("target %d: ApplyEditsInPlace(%v) modified the input graph", i, batch)
+		}
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("target %d: ApplyEditsInPlace error %v, ApplyEdits %v", i, err, wantErr)
+		}
+		if err != nil {
+			if !before.of(h) {
+				t.Fatalf("target %d: rejected batch %v modified the graph", i, batch)
+			}
+			continue
+		}
+		if res.Graph != h {
+			t.Fatalf("target %d: result is not the graph edited in place", i)
+		}
+		if !snap(want.Graph).of(h) {
+			t.Fatalf("target %d: batch %v in place\nedges %v\noffsets %v\narcs %v\nApplyEdits: %v %v %v",
+				i, batch, h.Edges(), h.ArcOffsets(), h.Arcs(), want.Graph.Edges(), want.Graph.ArcOffsets(), want.Graph.Arcs())
+		}
+		if res.Structural != want.Structural || !slices.Equal(res.OldToNew, want.OldToNew) ||
+			!slices.Equal(res.InsertedIDs, want.InsertedIDs) {
+			t.Fatalf("target %d: batch %v in place: structural %v, OldToNew %v, inserted %v; ApplyEdits: %v, %v, %v",
+				i, batch, res.Structural, res.OldToNew, res.InsertedIDs, want.Structural, want.OldToNew, want.InsertedIDs)
+		}
+	}
+}
+
+// snapshot is a copy of a graph's edge list and CSR.
+type snapshot struct {
+	edges  []Edge
+	arcOff []int32
+	arcs   []Arc
+}
+
+func snap(h *Graph) snapshot {
+	return snapshot{slices.Clone(h.Edges()), slices.Clone(h.ArcOffsets()), slices.Clone(h.Arcs())}
+}
+
+// of reports whether h holds exactly s's edge list and CSR.
+func (s snapshot) of(h *Graph) bool {
+	return slices.Equal(h.Edges(), s.edges) && slices.Equal(h.ArcOffsets(), s.arcOff) &&
+		slices.Equal(h.Arcs(), s.arcs)
 }
 
 // checkEdgeIDs verifies EdgeID against h's own edge list: every edge is

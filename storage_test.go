@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ugs"
@@ -97,6 +98,44 @@ func TestMappedSparsifyEquivalence(t *testing.T) {
 			}
 			if !hg.Equal(mg) {
 				t.Fatalf("%s: heap result %v != mapped result %v", method, hg, mg)
+			}
+		})
+	}
+}
+
+// TestDynamicNeverWritesItsInput: a Dynamic edits the graph it repairs in
+// place once that storage is its own, so it must never write the graph
+// passed to NewDynamic. A Dynamic over a heap graph and one over its mapped
+// copy take reweight-only batches first (the heap side's result then
+// shares the input's CSR), then structural ones. After every repair each
+// input's edge list and every CSR row must still equal a clone taken
+// before the stream.
+func TestDynamicNeverWritesItsInput(t *testing.T) {
+	g := ugs.FlickrLike(300, 11)
+	ctx := context.Background()
+	for _, in := range []struct {
+		name string
+		g    *ugs.Graph
+	}{{"heap", g}, {"mapped", openMappedCopy(t, g)}} {
+		t.Run(in.name, func(t *testing.T) {
+			want := in.g.Clone()
+			d, err := ugs.NewDynamic(ctx, in.g, 0.3, ugs.DynOptions{Method: ugs.MethodGDB, Seed: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(23))
+			for step, size := range []int{1, 1, 16, 64, 1, 16, 64, 1} {
+				if _, err := d.Repair(ctx, randomEditBatch(rng, d.Graph(), size)); err != nil {
+					t.Fatal(err)
+				}
+				if !in.g.Equal(want) {
+					t.Fatalf("batch %d (%d edits): the input's edge list changed", step, size)
+				}
+				for u := 0; u < want.NumVertices(); u++ {
+					if !slices.Equal(in.g.Neighbors(u), want.Neighbors(u)) {
+						t.Fatalf("batch %d (%d edits): the input's CSR row %d changed", step, size, u)
+					}
+				}
 			}
 		})
 	}

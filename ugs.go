@@ -192,7 +192,9 @@ type (
 	// Dynamic is an incrementally repairable sparsifier: Repair applies an
 	// edit batch and restores the sparsified state with bounded work,
 	// reproducing what a from-scratch replay of the same pipeline would
-	// compute.
+	// compute. Repair edits the current graph in place (never the graph
+	// passed to NewDynamic), so the graph Graph returns stays valid only
+	// until the next Repair.
 	Dynamic = core.Dynamic
 	// DynOptions configures NewDynamic (GDB or EMD at k = 1 only).
 	DynOptions = core.DynOptions
