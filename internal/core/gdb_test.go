@@ -312,3 +312,35 @@ func TestGDBSweepsSteadyStateAllocsZero(t *testing.T) {
 		t.Errorf("steady-state GDB sweeps allocate %v times per run, want 0", allocs)
 	}
 }
+
+// TestGDBSweepsPooledAllocsZero is the same check for gdbSweeps, the path
+// of Sparsify's GDB, EMD's M-phases and NewDynamic, which draws its level
+// schedule from levelPool: once the pool holds one, a run allocates
+// nothing. The race detector drops pooled items on purpose, so the check
+// is skipped under -race.
+func TestGDBSweepsPooledAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items on purpose")
+	}
+	rng := rand.New(rand.NewSource(6))
+	g := randomConnectedGraph(rng, 80, 0.2)
+	backbone, err := SpanningBackbone(g, 0.35, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := GDBOptions{H: 0.05, MaxIters: 5}
+	opts.defaults(g.NumVertices())
+	tr := newTracker(g, backbone)
+	ctx := context.Background()
+	if _, err := gdbSweeps(ctx, tr, backbone, opts); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := gdbSweeps(ctx, tr, backbone, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state pooled GDB sweeps allocate %v times per run, want 0", allocs)
+	}
+}

@@ -61,8 +61,8 @@ func (o *DynOptions) defaults() {
 // have drifted the graph far from the state the initial backbone was built
 // for, a fresh sparsification remains the quality-recovery path.
 //
-// A repair edits the current graph in place once the Dynamic owns its
-// storage; it never writes the graph passed to NewDynamic. So the graph
+// NewDynamic copies its input graph, and each repair edits that copy in
+// place, so the graph passed to NewDynamic is never written and the graph
 // that Graph returns stays valid only until the next Repair.
 //
 // Dynamic is not safe for concurrent use.
@@ -73,9 +73,6 @@ type Dynamic struct {
 	t        *tracker
 	backbone []int // always sorted ascending; the sweep order of repairs
 
-	// ownEdges and ownCSR record which of g's arrays belong to the Dynamic
-	// alone, so that a repair may edit them in place (see apply).
-	ownEdges, ownCSR bool
 	// kept is what a repair leaves the next one. It is weak, so that a
 	// collection drops it rather than keep it on the live heap between
 	// repairs (3.4 MB on a 100k-edge graph); a repair that finds it
@@ -135,11 +132,15 @@ type RepairStats struct {
 // depend on their order, and on the 10k- and 100k-edge benchmark graphs
 // (α = 0.3) 200 GDB sweeps of the same backbone end 3.5–4.4× lower in D1 in
 // ascending order.
+//
+// The Dynamic works on a heap copy of g (Graph.Clone, which also
+// materializes a mapped g), so repairs never write g.
 func NewDynamic(ctx context.Context, g *ugraph.Graph, alpha float64, opts DynOptions) (*Dynamic, error) {
 	opts.defaults()
 	if opts.Method != MethodGDB && opts.Method != MethodEMD {
 		return nil, fmt.Errorf("core: dynamic sparsification supports gdb and emd only (got %v)", opts.Method)
 	}
+	g = g.Clone()
 	backbone, err := BuildBackbone(g, alpha, Options{Backbone: opts.Backbone, Seed: opts.Seed})
 	if err != nil {
 		return nil, err
@@ -168,8 +169,9 @@ func NewDynamic(ctx context.Context, g *ugraph.Graph, alpha float64, opts DynOpt
 }
 
 // Graph returns the current (post-edit) base graph. Callers must not mutate
-// it, and it stays valid only until the next Repair, which may edit it in
-// place.
+// it, and it stays valid only until the next Repair, which edits it in
+// place. That holds too for a graph derived from it by a reweight-only
+// ugraph.ApplyEdits, which shares its CSR: Clone either to keep it longer.
 func (d *Dynamic) Graph() *ugraph.Graph { return d.g }
 
 // Backbone returns a copy of the current backbone edge ids (ascending, in
@@ -216,7 +218,7 @@ func (d *Dynamic) Repair(ctx context.Context, edits []ugraph.EdgeEdit) (*RepairS
 			}
 		}
 	}
-	res, err := d.apply(edits, sc)
+	res, err := ugraph.ApplyEditsInPlace(d.g, edits, sc.oldToNew)
 	if err != nil {
 		return nil, err
 	}
@@ -224,16 +226,15 @@ func (d *Dynamic) Repair(ctx context.Context, edits []ugraph.EdgeEdit) (*RepairS
 	t := d.t
 	held := true // the batch leaves backbone membership as it was
 	if res.Structural {
+		sc.oldToNew = res.OldToNew
 		held = d.remap(res, deleted)
 	}
 	for _, ed := range edits {
 		if ed.Op == ugraph.EditReweight {
-			id, _ := res.Graph.EdgeID(ed.U, ed.V)
+			id, _ := d.g.EdgeID(ed.U, ed.V)
 			t.origP[id] = ed.P
 		}
 	}
-	d.g = res.Graph
-	t.g = res.Graph
 
 	stats.BackboneAdded, stats.BackboneRemoved = d.maintainBackbone()
 	held = held && stats.BackboneAdded == 0 && stats.BackboneRemoved == 0
@@ -250,28 +251,6 @@ func (d *Dynamic) Repair(ctx context.Context, edits []ugraph.EdgeEdit) (*RepairS
 	}
 	stats.Sweeps, stats.EdgeVisits, stats.ObjectiveD1 = run.Iterations, run.EdgeVisits, run.ObjectiveD1
 	return stats, nil
-}
-
-// apply applies a batch to the current graph: in place where the Dynamic
-// owns the arrays the batch writes (the edge list, and for a structural
-// batch the CSR too), otherwise through ApplyEdits, whose result it then
-// owns, except for the CSR that a reweight-only batch shares with a heap
-// input. So the graph passed to NewDynamic is never written.
-func (d *Dynamic) apply(edits []ugraph.EdgeEdit, sc *repairScratch) (*ugraph.EditResult, error) {
-	structural := slices.ContainsFunc(edits, func(ed ugraph.EdgeEdit) bool { return ed.Op != ugraph.EditReweight })
-	if d.ownEdges && (d.ownCSR || !structural) {
-		res, err := ugraph.ApplyEditsInPlace(d.g, edits, sc.oldToNew)
-		if err == nil && res.Structural {
-			sc.oldToNew = res.OldToNew
-		}
-		return res, err
-	}
-	res, err := ugraph.ApplyEdits(d.g, edits)
-	if err != nil {
-		return nil, err
-	}
-	d.ownEdges, d.ownCSR = true, res.Structural || d.g.Mapped()
-	return res, nil
 }
 
 // schedule returns the level schedule for a repair's sweeps, or nil where
@@ -311,7 +290,7 @@ func (d *Dynamic) schedule(sc *repairScratch, oldToNew []int32, held bool) *leve
 // the post-edit id space of a structural batch: surviving edges keep their
 // endpoints, probabilities and membership (Repair then writes the new
 // target probability of each reweighted one), and inserted edges start
-// outside the backbone. ApplyEdits keeps survivors in their relative order,
+// outside the backbone. An edit keeps survivors in their relative order,
 // so each array is compacted in place by moving the runs between the
 // batch's deleted ids (resolved on the pre-edit graph) down over the gaps;
 // the work outside those moves is proportional to the batch and the

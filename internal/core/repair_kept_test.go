@@ -156,8 +156,8 @@ func TestRepairKeepsSchedule(t *testing.T) {
 	}
 }
 
-// TestWarmRepairAllocatesLessThanAnEdgeList: once a Dynamic owns its graph
-// and keeps its schedule, a repair edits the graph in place, so with
+// TestWarmRepairAllocatesLessThanAnEdgeList: a repair edits the Dynamic's
+// graph in place, and once it keeps its schedule and id map, with
 // collection off it allocates less than one copy of the edge list
 // (|E| × 24 bytes), for reweight-only batches and for budget-neutral
 // structural ones. Nothing on that path comes from a sync.Pool, so the

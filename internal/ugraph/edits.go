@@ -68,11 +68,12 @@ func (e *EditError) Error() string {
 	return fmt.Sprintf("ugraph: edit %d (%s %d-%d): %s", e.Index, e.Edit.Op, e.Edit.U, e.Edit.V, e.Reason)
 }
 
-// EditResult is the outcome of ApplyEdits: the post-edit graph plus the edge
-// identifier mapping a consumer of the old graph's ids needs to carry its
-// per-edge state across the edit.
+// EditResult is the outcome of ApplyEdits or ApplyEditsInPlace: the
+// post-edit graph plus the edge identifier mapping a consumer of the old
+// graph's ids needs to carry its per-edge state across the edit.
 type EditResult struct {
-	// Graph is the post-edit graph. The input graph is never modified.
+	// Graph is the post-edit graph: a new one from ApplyEdits, which never
+	// modifies its input, and the input itself from ApplyEditsInPlace.
 	Graph *Graph
 	// OldToNew maps every old edge id to its id in Graph, with -1 for
 	// deleted edges. A nil map means the identity mapping (reweight-only
@@ -103,16 +104,20 @@ type EditResult struct {
 // never aliases a file mapping another goroutine could close). A structural
 // batch compacts identifiers: surviving edges keep their relative order and
 // inserted edges are appended in batch order, with the old-to-new mapping
-// reported in the result.
+// reported in the result. It is applied to a copy of g's edge list and
+// offsets by ApplyEditsInPlace's routine, which reads g's arcs and writes
+// the new arc array in one pass.
 func ApplyEdits(g *Graph, edits []EdgeEdit) (*EditResult, error) {
 	ids, inserts, deletes, err := validateEdits(g, edits)
 	if err != nil {
 		return nil, err
 	}
-	if inserts+deletes > 0 {
-		return applyStructural(g, edits, ids, inserts), nil
+	if inserts+deletes == 0 {
+		return applyReweights(g, edits, ids), nil
 	}
-	return applyReweights(g, edits, ids), nil
+	ng := &Graph{n: g.n, edges: append(make([]Edge, 0, len(g.edges)+inserts), g.edges...),
+		arcOff: slices.Clone(g.arcOff), arcs: make([]Arc, 2*(len(g.edges)-deletes+inserts))}
+	return ng.applyStructural(edits, ids, inserts, deletes, g.arcs, nil), nil
 }
 
 // validateEdits checks a batch against g (see ApplyEdits) and returns the
@@ -174,9 +179,9 @@ func validateEdits(g *Graph, edits []EdgeEdit) (ids []int, inserts, deletes int,
 }
 
 // applyReweights handles a reweight-only batch: identifiers are stable, so
-// only the edge records change. Heap inputs share their CSR adjacency
-// (immutable after construction); mapped inputs are fully copied onto the
-// heap. ids holds the resolved edge id of each edit.
+// only the edge records change. Heap inputs share their CSR adjacency, which
+// only ApplyEditsInPlace writes (see its rule on sharing); mapped inputs are
+// fully copied onto the heap. ids holds the resolved edge id of each edit.
 func applyReweights(g *Graph, edits []EdgeEdit, ids []int) *EditResult {
 	edges := make([]Edge, len(g.edges))
 	copy(edges, g.edges)
@@ -192,92 +197,6 @@ func applyReweights(g *Graph, edits []EdgeEdit, ids []int) *EditResult {
 	return &EditResult{Graph: ng}
 }
 
-// applyStructural handles a batch with inserts or deletes: the edge list is
-// copied once, reweighted and compacted in place (survivors keep their
-// relative order) and inserts are appended in batch order. ids holds the
-// resolved edge id of each delete and reweight.
-//
-// The CSR is derived row by row from the old one rather than rebuilt: a
-// survivor's new id is monotone in its old id, so each row's surviving arcs
-// stay in ascending id order, and inserted edges carry the highest ids, so
-// they go at the end of their rows. That is exactly the layout
-// buildAdjacency produces for the new edge list.
-func applyStructural(g *Graph, edits []EdgeEdit, ids []int, inserts int) *EditResult {
-	m := len(g.edges)
-	edges := make([]Edge, m, m+inserts)
-	copy(edges, g.edges)
-	oldToNew := make([]int32, m)
-	for i, ed := range edits {
-		switch ed.Op {
-		case EditDelete:
-			oldToNew[ids[i]] = -1
-		case EditReweight:
-			edges[ids[i]].P = ed.P
-		}
-	}
-	kept := 0
-	for id := range oldToNew {
-		if oldToNew[id] < 0 {
-			continue
-		}
-		oldToNew[id] = int32(kept)
-		edges[kept] = edges[id]
-		kept++
-	}
-	edges = edges[:kept]
-	insertedIDs := make([]int, 0, inserts)
-	for _, ed := range edits {
-		if ed.Op != EditInsert {
-			continue
-		}
-		u, v := ed.U, ed.V
-		if u > v {
-			u, v = v, u
-		}
-		insertedIDs = append(insertedIDs, len(edges))
-		edges = append(edges, Edge{U: u, V: v, P: ed.P})
-	}
-
-	// Row offsets: each old degree, less deleted arcs, plus inserted ones.
-	n := g.n
-	arcOff := make([]int32, n+1)
-	for i, ed := range edits {
-		if ed.Op == EditDelete {
-			e := g.edges[ids[i]]
-			arcOff[e.U+1]--
-			arcOff[e.V+1]--
-		}
-	}
-	for _, id := range insertedIDs {
-		arcOff[edges[id].U+1]++
-		arcOff[edges[id].V+1]++
-	}
-	for u := 0; u < n; u++ {
-		arcOff[u+1] += arcOff[u] + g.arcOff[u+1] - g.arcOff[u]
-	}
-	arcs := make([]Arc, 2*len(edges))
-	next := make([]int32, n) // first free slot of each row after its survivors
-	for u := 0; u < n; u++ {
-		w := arcOff[u]
-		for _, a := range g.arcs[g.arcOff[u]:g.arcOff[u+1]] {
-			if id := oldToNew[a.ID]; id >= 0 {
-				arcs[w] = Arc{To: a.To, ID: int(id)}
-				w++
-			}
-		}
-		next[u] = w
-	}
-	for _, id := range insertedIDs {
-		e := edges[id]
-		arcs[next[e.U]] = Arc{To: e.V, ID: id}
-		next[e.U]++
-		arcs[next[e.V]] = Arc{To: e.U, ID: id}
-		next[e.V]++
-	}
-	ng := &Graph{n: n, edges: edges, arcOff: arcOff, arcs: arcs}
-	return &EditResult{Graph: ng, OldToNew: oldToNew, InsertedIDs: insertedIDs, Structural: true}
-}
-
 // ApplyEditsInPlace applies a batch to g itself. It validates the batch as
 // ApplyEdits does and is as atomic: an invalid batch returns an *EditError
 // and leaves g untouched. The result's edge list, CSR, OldToNew and
@@ -287,8 +206,10 @@ func applyStructural(g *Graph, edits []EdgeEdit, ids []int, inserts int) *EditRe
 // g must be a heap graph whose edge list, and for a structural batch whose
 // CSR, no other graph shares: a reweight-only batch writes only the edited
 // edge records, while a structural one compacts the edge list and the arc
-// array in place (see editArcs). A structural result's OldToNew reuses the
-// storage of oldToNew when it is large enough.
+// array in place (see editArcs). A reweight-only ApplyEdits result shares
+// its input's CSR, so neither of the two may take a structural batch in
+// place while the other is in use. A structural result's OldToNew reuses
+// the storage of oldToNew when it is large enough.
 func ApplyEditsInPlace(g *Graph, edits []EdgeEdit, oldToNew []int32) (*EditResult, error) {
 	if g.readonly {
 		panic("ugraph: ApplyEditsInPlace on a read-only mapped graph")
@@ -297,6 +218,25 @@ func ApplyEditsInPlace(g *Graph, edits []EdgeEdit, oldToNew []int32) (*EditResul
 	if err != nil {
 		return nil, err
 	}
+	if inserts+deletes == 0 {
+		for i, ed := range edits {
+			g.edges[ids[i]].P = ed.P
+		}
+		return &EditResult{Graph: g}, nil
+	}
+	return g.applyStructural(edits, ids, inserts, deletes, nil, oldToNew), nil
+}
+
+// applyStructural applies a validated batch with inserts or deletes to g's
+// edge list and CSR in place, leaving the layout New gives the edited edge
+// list: survivors keep their relative order, inserts are appended in batch
+// order and end their rows (see editArcs). ids holds the resolved edge id
+// of each edit. src is nil when g's arcs are the pre-edit ones; otherwise
+// g's edge list and offsets are a copy of another graph's, whose arcs src
+// holds and which is read and never written, and g's arc array is a fresh
+// one of the edited length. OldToNew reuses the storage of oldToNew when it
+// is large enough.
+func (g *Graph) applyStructural(edits []EdgeEdit, ids []int, inserts, deletes int, src []Arc, oldToNew []int32) *EditResult {
 	var deleted []int
 	for i, ed := range edits {
 		switch ed.Op {
@@ -306,10 +246,6 @@ func ApplyEditsInPlace(g *Graph, edits []EdgeEdit, oldToNew []int32) (*EditResul
 			deleted = append(deleted, ids[i])
 		}
 	}
-	if inserts+deletes == 0 {
-		return &EditResult{Graph: g}, nil
-	}
-
 	m := len(g.edges)
 	oldToNew = slices.Grow(oldToNew[:0], m)[:m]
 	clear(oldToNew)
@@ -346,39 +282,20 @@ func ApplyEditsInPlace(g *Graph, edits []EdgeEdit, oldToNew []int32) (*EditResul
 		}
 	}
 	g.edges = edges
-	g.editArcs(oldToNew, deletes > 0, insertedIDs)
-	return &EditResult{Graph: g, OldToNew: oldToNew, InsertedIDs: insertedIDs, Structural: true}, nil
+	g.editArcs(src, oldToNew, deletes > 0, insertedIDs)
+	return &EditResult{Graph: g, OldToNew: oldToNew, InsertedIDs: insertedIDs, Structural: true}
 }
 
-// editArcs brings g's CSR in place to the layout buildAdjacency gives its
-// edited edge list: with deletes, one ascending pass drops the deleted arcs
-// and renames the others through oldToNew (every move is downwards); then
-// the arcs of the inserted edges, which carry the highest ids and so end
-// their rows, open gaps from the last row down, each move a memmove of the
-// run between two insertion points.
-func (g *Graph) editArcs(oldToNew []int32, deletes bool, insertedIDs []int) {
-	n, arcOff, arcs := g.n, g.arcOff, g.arcs
-	if deletes {
-		w, start := int32(0), arcOff[0]
-		for u := 0; u < n; u++ {
-			end := arcOff[u+1]
-			arcOff[u] = w
-			for _, a := range arcs[start:end] {
-				if id := oldToNew[a.ID]; id >= 0 {
-					arcs[w] = Arc{To: a.To, ID: int(id)}
-					w++
-				}
-			}
-			start = end
-		}
-		arcOff[n] = w
-		arcs = arcs[:w]
-	}
-	if len(insertedIDs) == 0 {
-		g.arcs = arcs
-		return
-	}
-
+// editArcs brings g's CSR to the layout buildAdjacency gives its edited
+// edge list: each row holds its surviving arcs, renamed through oldToNew,
+// then the arcs of its inserted edges, which carry the highest ids, in
+// ascending id. When src holds the pre-edit arcs, g's arc array is a fresh
+// one of the edited length, and one ascending pass writes every row in
+// full. In place (src nil) a row that grows would overwrite arcs not yet
+// read, so with deletes the pass only drops and renames, every move
+// downwards; then the inserted arcs open gaps from the last row down, each
+// move a memmove of the run between two insertion points.
+func (g *Graph) editArcs(src []Arc, oldToNew []int32, deletes bool, insertedIDs []int) {
 	type rowArc struct {
 		row int
 		arc Arc
@@ -390,6 +307,38 @@ func (g *Graph) editArcs(oldToNew []int32, deletes bool, insertedIDs []int) {
 	}
 	// Stable: a row's inserted arcs stay in ascending id order.
 	slices.SortStableFunc(ins, func(a, b rowArc) int { return cmp.Compare(a.row, b.row) })
+
+	n, arcOff, arcs := g.n, g.arcOff, g.arcs
+	inPlace := src == nil
+	if deletes || !inPlace {
+		pending := ins // the inserted arcs the pass writes
+		if inPlace {
+			src, pending = arcs, nil
+		}
+		w, start := int32(0), arcOff[0]
+		for u := 0; u < n; u++ {
+			end := arcOff[u+1]
+			arcOff[u] = w
+			for _, a := range src[start:end] {
+				if id := oldToNew[a.ID]; id >= 0 {
+					arcs[w] = Arc{To: a.To, ID: int(id)}
+					w++
+				}
+			}
+			for ; len(pending) > 0 && pending[0].row == u; pending = pending[1:] {
+				arcs[w] = pending[0].arc
+				w++
+			}
+			start = end
+		}
+		arcOff[n] = w
+		arcs = arcs[:w]
+	}
+	if len(ins) == 0 || !inPlace {
+		g.arcs = arcs
+		return
+	}
+
 	end, shift := len(arcs), len(ins)
 	arcs = slices.Grow(arcs, shift)[:end+shift]
 	for i := len(ins) - 1; i >= 0; {

@@ -55,7 +55,9 @@ type Arc struct {
 // ArcOffsets/Arcs directly.
 //
 // Graph is not safe for concurrent mutation. Concurrent readers are safe as
-// long as no goroutine calls SetProb.
+// long as no goroutine calls SetProb or ApplyEditsInPlace, the two
+// mutators. ApplyEditsInPlace rewrites the CSR too, which a reweight-only
+// ApplyEdits result shares with its heap input.
 //
 // A graph returned by OpenMapped is a read-only view whose CSR slices
 // alias a file mapping: SetProb panics on it, Clone materializes a

@@ -104,12 +104,12 @@ func TestMappedSparsifyEquivalence(t *testing.T) {
 }
 
 // TestDynamicNeverWritesItsInput: a Dynamic edits the graph it repairs in
-// place once that storage is its own, so it must never write the graph
-// passed to NewDynamic. A Dynamic over a heap graph and one over its mapped
-// copy take reweight-only batches first (the heap side's result then
-// shares the input's CSR), then structural ones. After every repair each
-// input's edge list and every CSR row must still equal a clone taken
-// before the stream.
+// place, so it must never write the graph passed to NewDynamic. A Dynamic
+// over a heap graph and one over its mapped copy take reweight-only
+// batches first (after which a Dynamic that had applied them with
+// ApplyEdits would share the heap input's CSR), then structural ones.
+// After every repair each input's edge list and every CSR row must still
+// equal a clone taken before the stream.
 func TestDynamicNeverWritesItsInput(t *testing.T) {
 	g := ugs.FlickrLike(300, 11)
 	ctx := context.Background()
@@ -143,12 +143,10 @@ func TestDynamicNeverWritesItsInput(t *testing.T) {
 
 // TestMappedDynamicEquivalence builds a Dynamic over a heap graph and over
 // its memory-mapped binary copy, for both discrepancies, and applies the
-// same stream of edit batches to both: a reweight-only batch first (the
-// mapped side's first repair copies the mapped graph), then batches of 1,
-// 16 and 64 edits. Every RepairStats and every sparsified graph must be
-// equal. The repair's resync sums expected degrees over CSR rows, so this
-// also checks that a graph read from a file lists its rows in the order
-// the in-memory build does.
+// same stream of edit batches to both: a reweight-only batch first, then
+// batches of 1, 16 and 64 edits. Every RepairStats and every sparsified
+// graph must be equal: NewDynamic copies either input onto the heap, and
+// the two copies must repair alike bit for bit.
 func TestMappedDynamicEquivalence(t *testing.T) {
 	g := ugs.FlickrLike(300, 7)
 	m := openMappedCopy(t, g)

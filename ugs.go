@@ -192,9 +192,10 @@ type (
 	// Dynamic is an incrementally repairable sparsifier: Repair applies an
 	// edit batch and restores the sparsified state with bounded work,
 	// reproducing what a from-scratch replay of the same pipeline would
-	// compute. Repair edits the current graph in place (never the graph
-	// passed to NewDynamic), so the graph Graph returns stays valid only
-	// until the next Repair.
+	// compute. NewDynamic copies its input graph and Repair edits that copy
+	// in place, so the graph Graph returns stays valid only until the next
+	// Repair. So does a graph derived from it by a reweight-only ApplyEdits,
+	// which shares its CSR; Clone either to keep it longer.
 	Dynamic = core.Dynamic
 	// DynOptions configures NewDynamic (GDB or EMD at k = 1 only).
 	DynOptions = core.DynOptions
