@@ -461,8 +461,8 @@ func BenchmarkReliabilityMC(b *testing.B) {
 // BenchmarkAblationQueryEngine compares the bit-parallel 64-world batch
 // engine against the scalar one-world-per-traversal path on the RL, SP and
 // connectivity estimators (estimates are bit-identical, only traversal
-// count differs), then the engine's other choices: lane width, source
-// fan-out and sequential stopping.
+// count differs), then the engine's other choices: lane width and
+// sequential stopping.
 func BenchmarkAblationQueryEngine(b *testing.B) {
 	g := benchGraph(b)
 	pairs := ugs.RandomPairs(g.NumVertices(), 50, rand.New(rand.NewSource(1)))
@@ -504,30 +504,6 @@ func BenchmarkAblationQueryEngine(b *testing.B) {
 				}
 			}
 		})
-	}
-	// One SP+RL query whose pairs carry many distinct sources, each with one
-	// target, at the scalar width, where grouping pays most and no pair
-	// search runs: fan-out auto groups up to 64 sources per traversal of a
-	// sampled world, /persource is the FanOut: 1 ablation.
-	for _, np := range []int{16, 256} {
-		nv := g.NumVertices()
-		many := make([]ugs.Pair, np)
-		for i := range many {
-			many[i] = ugs.Pair{S: i % nv, T: (i + nv/2) % nv}
-		}
-		for _, v := range []struct {
-			suffix string
-			fanOut int
-		}{{"", 0}, {"/persource", 1}} {
-			opts := mc.Options{Samples: 64, Seed: 1, Lanes: 1, FanOut: v.fanOut}
-			b.Run(fmt.Sprintf("multipair/%dpairs%s", np, v.suffix), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := ugs.ShortestDistanceAndReliability(ctx, g, many, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 	// Sequential stopping against the fixed default budget of 500 samples.
 	// samples/op is the number of worlds a run drew, the quantity the

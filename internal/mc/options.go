@@ -24,21 +24,22 @@ type Options struct {
 	Workers int
 	// Lanes selects the batch width for estimators that support the
 	// bit-parallel engine (reliability, shortest distance, connectivity):
-	// 0 is automatic (a fixed rule over the query kind and sample budget),
-	// 1 is the scalar one-world-per-traversal ablation, and 64 or 256
-	// select an explicit WorldBatch width. The width is an execution
-	// choice only — estimates are bit-identical across all of them.
+	// 0 is automatic (a fixed rule over the query kind and sample budget,
+	// which picks a batch width at every budget), 1 is the scalar
+	// reference (one BFS per source over each sampled world in turn), and
+	// 64 or 256 select an explicit WorldBatch width. The width is an
+	// execution choice only — estimates are bit-identical across all of
+	// them.
 	Lanes int
 	// FanOut selects how many distinct query sources a pair estimator's
-	// source traversal carries at once: 0 is automatic (a fixed rule over
-	// the lane width and the distinct-source count), 1 forces one traversal
-	// per source (the per-source ablation), and 8 pins groups of eight. At
-	// batch widths only 64 lanes group, and only full groups of eight, so
-	// there 8 plans as auto; on scalar worlds it pins groups of up to eight
-	// where auto groups up to 64. It applies to source traversals only: at
-	// batch widths a pair whose source has few targets runs a pair search
-	// instead, whatever the fan-out. Like Lanes, it is an execution choice
-	// only — per-pair estimates are bit-identical across every fan-out.
+	// 64-lane source traversal carries at once: 0 is automatic (a fixed
+	// rule over the distinct-source count), 1 forces one traversal per
+	// source (the per-source ablation), and 8 pins groups of eight. Only
+	// full groups of eight group, so 8 plans as auto. 256-lane runs and
+	// the scalar reference (Lanes: 1) traverse per source whatever the
+	// fan-out, and a pair whose source has few targets runs a pair search
+	// instead. Like Lanes, it is an execution choice only — per-pair
+	// estimates are bit-identical across every fan-out.
 	FanOut int
 	// Target, when non-nil, switches supporting estimators from the fixed
 	// Samples budget to sequential stopping: batches are drawn in

@@ -206,28 +206,15 @@ func pairStats(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Optio
 	return res, mc.RunInfo{Samples: opts.WithDefaults().Samples, Rounds: 1, Converged: true}, nil
 }
 
-// countDistinctSources is the scalar fan-out planner's input: a group can
-// never usefully exceed the number of distinct traversal roots.
-func countDistinctSources(pairs []Pair) int {
-	seen := make(map[int]struct{}, len(pairs))
-	for _, p := range pairs {
-		seen[p.S] = struct{}{}
-	}
-	return len(seen)
-}
-
 // pairStatsFixed runs one fixed-budget pass at the engine width the planner
-// (or explicit Options) picks for its budget. Scalar worlds traverse per
-// source, or per fan-sized source group on the multi-source kernel. Batch
-// widths route the pairs first (routePairs): few-target sources get one
-// pair search per pair, the rest one source traversal per source or per
-// full source group, all inside the same pass.
+// (or explicit Options) picks for its budget. Scalar worlds, the reference,
+// run one BFS per source per world whatever the fan-out. Batch widths route
+// the pairs first (routePairs): few-target sources get one pair search per
+// pair, the rest one source traversal per source or per full source group,
+// all inside the same pass.
 func pairStatsFixed(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options) ([]pairResult, error) {
 	lanes := planLanes(opts, KindPair)
 	if lanes == 1 {
-		if fan := planFanOut(opts, countDistinctSources(pairs), lanes); fan > 1 {
-			return pairStatsScalarMulti(ctx, g, pairs, opts, fan)
-		}
 		return pairStatsScalar(ctx, g, pairs, opts)
 	}
 	r := routePairs(pairs)
@@ -381,38 +368,6 @@ func pairStatsBatch[V ugraph.Vec](ctx context.Context, g *ugraph.Graph, pairs []
 				for _, i := range r.bySource[s] {
 					t := pairs[i].T
 					add(i, ugraph.VecOnesCount(reach[t]), depthSum[t])
-				}
-			}
-		},
-		mergePairResults,
-	)
-}
-
-// pairStatsScalarMulti is the scalar-world counterpart of the multi-source
-// batch path: one source-bitmask BFS per fan-sized group per world, walking
-// each present arc of a level once for the whole group. Per-pair results
-// are exactly pairStatsScalar's.
-func pairStatsScalarMulti(ctx context.Context, g *ugraph.Graph, pairs []Pair, opts mc.Options, fan int) ([]pairResult, error) {
-	bySource, sources := groupPairsBySource(pairs)
-	return mc.Reduce(ctx, g, opts,
-		func() *MSWorldBFS { return NewMSWorldBFS(g.NumVertices(), fan) },
-		func() []pairResult { return make([]pairResult, len(pairs)) },
-		func(_ int, w *ugraph.World, ms *MSWorldBFS, acc []pairResult) {
-			for base := 0; base < len(sources); base += fan {
-				end := base + fan
-				if end > len(sources) {
-					end = len(sources)
-				}
-				grp := sources[base:end]
-				ms.Run(w, grp)
-				for k, s := range grp {
-					for _, i := range bySource[s] {
-						acc[i].samples++
-						if d := ms.Dist(pairs[i].T, k); d >= 0 {
-							acc[i].reachable++
-							acc[i].distSum += float64(d)
-						}
-					}
 				}
 			}
 		},

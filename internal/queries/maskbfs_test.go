@@ -265,7 +265,7 @@ func TestBatchScalarEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := randomQueryGraph(rng, 40, 0.12)
 	pairs := RandomPairs(g.NumVertices(), 25, rng)
-	for _, samples := range []int{1, 50, 64, 100, 130, 257} {
+	for _, samples := range []int{1, 2, 4, 8, 50, 64, 100, 130, 257} {
 		for _, workers := range []int{1, 8} {
 			scalar := mc.Options{Samples: samples, Seed: 77, Workers: workers, Lanes: 1}
 			rlS, err := Reliability(bg(), g, pairs, scalar)

@@ -221,112 +221,3 @@ func (b *MSBFS) settle(v, depth int) {
 		d[k] += dd * int64(bits.OnesCount64(newly))
 	}
 }
-
-// MSWorldBFS is the scalar-world counterpart of MSBFS: one breadth-first
-// search over a single sampled world carries a 64-bit source mask per
-// vertex (bit k = "reached from srcs[k]"), so each present arc of a level
-// is walked once for up to 64 sources. Per-source distances are identical
-// to one BFS.Distances call per source. Not safe for concurrent use.
-type MSWorldBFS struct {
-	n     int
-	group int
-	reach []uint64 // per-vertex mask of source slots that reached it
-	cur   []uint64
-	next  []uint64
-	depth []int32 // v*group+k: settle depth; valid iff reach bit k set at v
-	curQ  []int32
-	nextQ []int32
-}
-
-// NewMSWorldBFS returns a scalar multi-source BFS for graphs with n
-// vertices, pre-sized for source groups of up to fan (≤ 64) sources.
-func NewMSWorldBFS(n, fan int) *MSWorldBFS {
-	if fan < 1 {
-		fan = 1
-	}
-	return &MSWorldBFS{
-		n:     n,
-		reach: make([]uint64, n),
-		cur:   make([]uint64, n),
-		next:  make([]uint64, n),
-		depth: make([]int32, n*fan),
-		curQ:  make([]int32, 0, n),
-		nextQ: make([]int32, 0, n),
-	}
-}
-
-// Run traverses w from every source in srcs (at most 64). Afterwards
-// Dist(v, k) reports the hop distance from srcs[k] to v in this world, −1
-// when unreachable — exactly BFS.Distances(w, srcs[k])[v].
-func (b *MSWorldBFS) Run(w *ugraph.World, srcs []int) {
-	if len(srcs) > 64 {
-		panic("queries: MSWorldBFS carries at most 64 sources per run")
-	}
-	g := w.Graph()
-	s := len(srcs)
-	b.group = s
-	if need := b.n * s; len(b.depth) < need {
-		b.depth = make([]int32, need)
-	}
-	reach, cur, next := b.reach, b.cur, b.next
-	for v := range reach {
-		reach[v] = 0
-	}
-	// depth entries are only read where the corresponding reach bit is set,
-	// and every such (v, k) is written this run — no clearing needed.
-	b.curQ = b.curQ[:0]
-	for k, src := range srcs {
-		if reach[src] == 0 {
-			b.curQ = append(b.curQ, int32(src))
-		}
-		reach[src] |= 1 << k
-		cur[src] |= 1 << k
-		b.depth[src*s+k] = 0
-	}
-	curQ, nextQ := b.curQ, b.nextQ[:0]
-	depth := int32(0)
-	for len(curQ) > 0 {
-		depth++
-		nextQ = nextQ[:0]
-		for _, ui := range curQ {
-			u := int(ui)
-			fu := cur[u]
-			cur[u] = 0
-			for _, a := range g.Neighbors(u) {
-				if !w.Present(a.ID) {
-					continue
-				}
-				v := a.To
-				m := fu &^ reach[v]
-				if m == 0 {
-					continue
-				}
-				if next[v] == 0 {
-					nextQ = append(nextQ, int32(v))
-				}
-				next[v] |= m
-			}
-		}
-		for _, vi := range nextQ {
-			v := int(vi)
-			newly := next[v] // disjoint from reach: masked at insertion
-			next[v] = 0
-			reach[v] |= newly
-			cur[v] = newly
-			for m := newly; m != 0; m &= m - 1 {
-				b.depth[v*s+bits.TrailingZeros64(m)] = depth
-			}
-		}
-		curQ, nextQ = nextQ, curQ[:0]
-	}
-	b.curQ, b.nextQ = curQ[:0], nextQ[:0]
-}
-
-// Dist returns the hop distance from source slot k to vertex v in the last
-// Run's world, −1 when unreachable.
-func (b *MSWorldBFS) Dist(v, k int) int {
-	if b.reach[v]&(1<<k) == 0 {
-		return -1
-	}
-	return int(b.depth[v*b.group+k])
-}

@@ -56,31 +56,6 @@ func TestMSBFSMatchesMaskBFSPerSlot(t *testing.T) {
 	}
 }
 
-// TestMSWorldBFSMatchesScalarBFS pins the scalar multi-source kernel: every
-// slot's distances over a sampled world must equal BFS.Distances from that
-// slot's source.
-func TestMSWorldBFSMatchesScalarBFS(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 10; trial++ {
-		g := randomQueryGraph(rng, 8+rng.Intn(40), 0.05+0.3*rng.Float64())
-		n := g.NumVertices()
-		w := g.SampleWorld(rng)
-		ms := NewMSWorldBFS(n, 4)
-		bfs := NewBFS(n)
-		srcs := probeGroup(rng, n)
-		ms.Run(w, srcs[:])
-		for k, src := range srcs {
-			dist := bfs.Distances(w, src)
-			for v := 0; v < n; v++ {
-				if got := ms.Dist(v, k); got != dist[v] {
-					t.Fatalf("trial %d srcs %v slot %d vertex %d: dist %d != scalar BFS %d",
-						trial, srcs, k, v, got, dist[v])
-				}
-			}
-		}
-	}
-}
-
 // multiPairCase builds a pair list that stresses the grouped estimators:
 // several pairs sharing one source, duplicate pairs, pairs whose sources
 // collide with targets, and, after the count random ones, nine sources
@@ -210,7 +185,7 @@ func TestAdaptiveMultiPairDeterministicAcrossFanOuts(t *testing.T) {
 }
 
 // TestMSBFSZeroSteadyStateAllocs extends the zero-allocation guarantee to
-// the multi-source kernels with warm, group-sized instances.
+// the multi-source kernel with a warm instance.
 func TestMSBFSZeroSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	g := randomQueryGraph(rng, 50, 0.2)
@@ -227,12 +202,5 @@ func TestMSBFSZeroSteadyStateAllocs(t *testing.T) {
 	ms.ReachFrom(wb, srcs)
 	if allocs := testing.AllocsPerRun(50, func() { ms.ReachFrom(wb, srcs) }); allocs != 0 {
 		t.Errorf("MSBFS.ReachFrom allocates %.1f per call with a warm instance, want 0", allocs)
-	}
-
-	w := g.SampleWorld(rand.New(rand.NewSource(5)))
-	msw := NewMSWorldBFS(n, len(srcs))
-	msw.Run(w, srcs[:])
-	if allocs := testing.AllocsPerRun(50, func() { msw.Run(w, srcs[:]) }); allocs != 0 {
-		t.Errorf("MSWorldBFS.Run allocates %.1f per call with a warm instance, want 0", allocs)
 	}
 }

@@ -2,7 +2,6 @@ package queries
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"sort"
 	"testing"
@@ -39,28 +38,6 @@ func TestMSRatio(t *testing.T) {
 	srcs := make([]int, nsrc)
 	for i := range srcs {
 		srcs[i] = i * n / nsrc
-	}
-	// Scalar engine: per-source BFS.Distances vs one 32/64-slot MSWorldBFS.
-	{
-		w := g.SampleWorld(rand.New(rand.NewSource(7)))
-		bfs := NewBFS(n)
-		ms := NewMSWorldBFS(n, nsrc)
-		var ratios []float64
-		for rep := 0; rep < 6; rep++ {
-			t0 := time.Now()
-			for _, s := range srcs {
-				bfs.Distances(w, s)
-			}
-			base := time.Since(t0)
-			t1 := time.Now()
-			ms.Run(w, srcs)
-			multi := time.Since(t1)
-			r := float64(base) / float64(multi)
-			ratios = append(ratios, r)
-			fmt.Printf("scalar rep=%d base=%v multi=%v ratio=%.2f\n", rep, base, multi, r)
-		}
-		sort.Float64s(ratios)
-		fmt.Printf("scalar (%d sources) median ratio %.2f\n", nsrc, ratios[len(ratios)/2])
 	}
 	// 64 lanes: one MaskBFS per source vs one MSBFS per group of eight.
 	bfs := NewMaskBFS[ugraph.Vec64](n)

@@ -132,7 +132,7 @@ func TestRoutedPairsMatchScalar(t *testing.T) {
 	if want := slices.Sorted(slices.Values(traversed)); len(r.searched) == 0 || !slices.Equal(r.sources, want) {
 		t.Fatalf("route = %+v, want sources %v on traversals", r, want)
 	}
-	for _, samples := range []int{50, 64, 257} {
+	for _, samples := range []int{1, 4, 8, 50, 64, 257} {
 		ref := mc.Options{Samples: samples, Seed: 13, Lanes: 1}
 		wantSP, wantRL, err := ShortestDistanceAndReliability(bg(), g, pairs, ref)
 		if err != nil {

@@ -46,16 +46,20 @@ const (
 //     of each other, and at 128 samples half-empty 256-lane batches are
 //     1.8–2.1× slower.
 //
+// Pair and connectivity queries take the batch engine at every budget,
+// down to one sample. At 1–8 samples scalar worlds are still faster on a
+// single world and on sources with many targets, but slower on one-target
+// pairs from 4 samples up, and neither the service defaults, the
+// experiments nor the benchmark of record send budgets that small; so
+// scalar worlds serve only vector queries and the Lanes: 1 reference.
+//
 // The route to pair searches applies to explicit shapes too: Options.Lanes
 // pins the width, Options.FanOut 1 pins one source per traversal (FanOut 8
-// plans as auto at batch widths), and only Lanes: 1 (the scalar reference)
-// runs no pair search.
+// plans as auto), and only Lanes: 1 (the scalar reference) runs no pair
+// search and no grouped traversal: one BFS per source per world.
 const (
 	// wideBudget is the smallest pair-query budget that runs at 256 lanes.
 	wideBudget = 384
-	// scalarFanOut is the auto group size on scalar worlds: MSWorldBFS's
-	// full source mask.
-	scalarFanOut = 64
 	// pairSearchTargets is the most targets a source can have for its
 	// pairs to run pair searches instead of one source traversal.
 	pairSearchTargets = 3
@@ -99,16 +103,10 @@ func planLanes(opts mc.Options, kind Kind) int {
 	if opts.Lanes != 0 {
 		return opts.Lanes
 	}
-	switch samples := opts.WithDefaults().Samples; {
-	case samples <= 8:
-		// A batch fill costs one pass over the edge list regardless of how
-		// many lanes are active; a handful of worlds is cheaper drawn scalar.
-		return 1
-	case kind == KindPair && samples >= wideBudget:
+	if kind == KindPair && opts.WithDefaults().Samples >= wideBudget {
 		return 4 * ugraph.BatchLanes
-	default:
-		return ugraph.BatchLanes
 	}
+	return ugraph.BatchLanes
 }
 
 // PlanLanes reports the width planLanes would choose — the introspection
@@ -119,26 +117,16 @@ func PlanLanes(_ *ugraph.Graph, opts mc.Options, kind Kind) int {
 }
 
 // planFanOut resolves the source group size of a pair-estimator run's
-// source traversals. On scalar worlds it is the explicit Options.FanOut, or
-// scalarFanOut when auto (the grouped BFS walks each present arc of a level
-// once for the whole group, so sharing always amortizes), clamped to the
-// distinct sources. At batch widths it is the size of the full groups the
-// MSBFS kernel runs: groupFanOut at 64 lanes once distinct reaches it,
-// unless FanOut pins the per-source ablation, and 1 otherwise; the sources
-// outside full groups, and every source at 256 lanes, run one MaskBFS each.
-// distinct counts the sources that get a traversal — every distinct source
-// on scalar worlds, only the routed ones (routePairs) at batch widths. Like
-// the lane width, fan-out is a pure execution decision — per-pair results
-// are bit-identical across every value. opts must have passed Validate.
+// source traversals: the size of the full groups the MSBFS kernel runs,
+// groupFanOut at 64 lanes once distinct reaches it, unless FanOut pins the
+// per-source ablation, and 1 otherwise. The sources outside full groups,
+// every source at 256 lanes and every source on scalar worlds run one
+// traversal each. distinct counts the sources that get a traversal (the
+// routed ones, see routePairs). Like the lane width, fan-out is a pure
+// execution decision — per-pair results are bit-identical across every
+// value. opts must have passed Validate.
 func planFanOut(opts mc.Options, distinct, lanes int) int {
-	switch {
-	case lanes == 1:
-		fan := opts.FanOut
-		if fan == 0 {
-			fan = scalarFanOut
-		}
-		return max(min(fan, distinct), 1)
-	case lanes == ugraph.BatchLanes && opts.FanOut != 1 && distinct >= groupFanOut:
+	if lanes == ugraph.BatchLanes && opts.FanOut != 1 && distinct >= groupFanOut {
 		return groupFanOut
 	}
 	return 1

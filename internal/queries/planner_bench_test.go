@@ -19,14 +19,20 @@ import (
 // sample-social corpus graph (3k edges):
 //
 //   - reliability with one target per source (the paper's random pairs) at
-//     {4, 16} distinct sources × {128, 512} samples: every pair runs a pair
-//     search, so these rows time the lane width of pair searches;
+//     {4, 16} distinct sources × {1, 4, 8, 128, 512} samples: every pair
+//     runs a pair search, so these rows time the lane width of pair
+//     searches;
 //   - reliability with eight targets per source at {4, 8, 13} sources ×
-//     {128, 512} samples: every pair rides a source traversal, so these rows
-//     time the width and fan-out of source traversals (the shapes' fan-outs
-//     apply to these only); at 64 lanes fan-out 8 runs no group for 4
-//     sources, and one group plus five sources on their own for 13;
-//   - connectivity at {128, 512} samples.
+//     {1, 4, 8, 128, 512} samples: every pair rides a source traversal, so
+//     these rows time the width and fan-out of source traversals (the
+//     shapes' fan-outs apply to these only); at 64 lanes fan-out 8 runs no
+//     group for 4 sources, and one group plus five sources on their own
+//     for 13;
+//   - connectivity at {1, 4, 8, 128, 512} samples.
+//
+// Budgets of at most 8 samples cannot fill 256 lanes, so their rows time
+// the scalar reference (Lanes: 1, one BFS per source per world) in that
+// column instead: the shape the rule gave up for them.
 //
 // Adaptive reliability at CI half-width 0.1 (one 128-sample round) and 0.02
 // (doubling rounds up to 4096 samples) checks the per-round plan; an
@@ -48,19 +54,25 @@ func BenchmarkPlannerGrid(b *testing.B) {
 			return ugraph.OpenMapped("../../examples/corpus/sample-social.ugsb")
 		}},
 	}
-	shapes := []struct {
+	type shape struct {
 		name       string
 		lanes, fan int
-	}{{"auto", 0, 0}, {"64x1", 64, 1}, {"64x8", 64, 8}, {"256x1", 256, 1}}
+	}
+	wide := []shape{{"auto", 0, 0}, {"64x1", 64, 1}, {"64x8", 64, 8}, {"256x1", 256, 1}}
+	small := []shape{{"auto", 0, 0}, {"64x1", 64, 1}, {"64x8", 64, 8}, {"scalar", 1, 0}}
 	budgets := []struct {
 		name    string
 		samples int
 		target  *mc.Target
+		shapes  []shape
 	}{
-		{"128", 128, nil},
-		{"512", 512, nil},
-		{"eps0.1", 0, mc.WithConfidence(0.1, 0.05)},
-		{"eps0.02", 0, mc.WithConfidence(0.02, 0.05)},
+		{"1", 1, nil, small},
+		{"4", 4, nil, small},
+		{"8", 8, nil, small},
+		{"128", 128, nil, wide},
+		{"512", 512, nil, wide},
+		{"eps0.1", 0, mc.WithConfidence(0.1, 0.05), wide},
+		{"eps0.02", 0, mc.WithConfidence(0.02, 0.05), wide},
 	}
 	pairSets := []struct{ sources, targets int }{{4, 1}, {16, 1}, {4, 8}, {8, 8}, {13, 8}}
 	for _, gr := range graphs {
@@ -84,7 +96,7 @@ func BenchmarkPlannerGrid(b *testing.B) {
 					if ps.targets > 1 {
 						name += fmt.Sprintf("x%dtgt", ps.targets)
 					}
-					for _, sh := range shapes {
+					for _, sh := range bu.shapes {
 						opts := mc.Options{Samples: bu.samples, Target: bu.target, Seed: 1, Lanes: sh.lanes, FanOut: sh.fan}
 						b.Run(fmt.Sprintf("rl/%s/%s/%s", name, bu.name, sh.name), func(b *testing.B) {
 							for i := 0; i < b.N; i++ {
@@ -96,13 +108,16 @@ func BenchmarkPlannerGrid(b *testing.B) {
 					}
 				}
 			}
-			for _, samples := range []int{128, 512} {
-				for _, sh := range shapes {
+			for _, bu := range budgets {
+				if bu.target != nil {
+					continue
+				}
+				for _, sh := range bu.shapes {
 					if sh.fan > 1 {
 						continue // connectivity traverses from one source
 					}
-					opts := mc.Options{Samples: samples, Seed: 1, Lanes: sh.lanes}
-					b.Run(fmt.Sprintf("conn/%d/%s", samples, sh.name), func(b *testing.B) {
+					opts := mc.Options{Samples: bu.samples, Seed: 1, Lanes: sh.lanes}
+					b.Run(fmt.Sprintf("conn/%s/%s", bu.name, sh.name), func(b *testing.B) {
 						for i := 0; i < b.N; i++ {
 							if _, err := ConnectedProbability(bg(), g, opts); err != nil {
 								b.Fatal(err)

@@ -9,11 +9,11 @@ import (
 	"ugs/internal/mc"
 )
 
-// TestPlannerWidths pins the lane rule at its edges: vector queries and
-// tiny budgets are scalar, explicit widths pass through, connectivity stays
-// at 64 lanes, and pair queries switch from 64 to 256 lanes at wideBudget
-// samples. A confidence target does not enter the rule: adaptive runs plan
-// each round from that round's budget.
+// TestPlannerWidths pins the lane rule at its edges: only vector queries
+// and an explicit Lanes: 1 are scalar, whatever the budget, explicit widths
+// pass through, connectivity stays at 64 lanes, and pair queries switch
+// from 64 to 256 lanes at wideBudget samples. A confidence target does not
+// enter the rule: adaptive runs plan each round from that round's budget.
 func TestPlannerWidths(t *testing.T) {
 	g := diamond(0.5)
 	cases := []struct {
@@ -26,8 +26,14 @@ func TestPlannerWidths(t *testing.T) {
 		{"explicit scalar", mc.Options{Lanes: 1, Samples: 5000}, KindPair, 1},
 		{"explicit 256", mc.Options{Lanes: 256, Samples: 10}, KindPair, 256},
 		{"explicit 64", mc.Options{Lanes: 64, Samples: 5000}, KindPair, 64},
-		{"tiny budget scalar", mc.Options{Samples: 8}, KindPair, 1},
-		{"just above tiny", mc.Options{Samples: 9}, KindPair, 64},
+		{"pair one sample", mc.Options{Samples: 1}, KindPair, 64},
+		{"pair 4 samples", mc.Options{Samples: 4}, KindPair, 64},
+		{"pair 8 samples", mc.Options{Samples: 8}, KindPair, 64},
+		{"connectivity one sample", mc.Options{Samples: 1}, KindConnectivity, 64},
+		{"connectivity 4 samples", mc.Options{Samples: 4}, KindConnectivity, 64},
+		{"connectivity 8 samples", mc.Options{Samples: 8}, KindConnectivity, 64},
+		{"vector one sample", mc.Options{Samples: 1}, KindVector, 1},
+		{"pair 9 samples", mc.Options{Samples: 9}, KindPair, 64},
 		{"one-word budget", mc.Options{Samples: 50}, KindConnectivity, 64},
 		{"pair below wide budget", mc.Options{Samples: 383}, KindPair, 64},
 		{"pair at wide budget", mc.Options{Samples: 384}, KindPair, 256},
@@ -43,11 +49,10 @@ func TestPlannerWidths(t *testing.T) {
 	}
 }
 
-// TestPlanFanOut pins the fan-out rule: scalar worlds take the full
-// source mask on auto and honor an explicit 8, both clamped to the
-// distinct-source count; 64-lane runs report full groups of 8 once there
-// are 8 sources, unless FanOut pins the per-source ablation; and 256-lane
-// runs — planned or explicit — traverse per source.
+// TestPlanFanOut pins the fan-out rule: 64-lane runs report full groups of
+// 8 once there are 8 sources, unless FanOut pins the per-source ablation;
+// 256-lane runs — planned or explicit — and scalar worlds traverse per
+// source, whatever FanOut says.
 func TestPlanFanOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	g := randomQueryGraph(rng, 30, 0.2)
@@ -62,10 +67,8 @@ func TestPlanFanOut(t *testing.T) {
 		{mc.Options{FanOut: 8}, 256, 1},               // 500 samples: 256 lanes never group
 		{mc.Options{Samples: 128, FanOut: 1}, 256, 1}, // per-source ablation
 		{mc.Options{}, 1, 1},                          // nothing to group
-		{mc.Options{Lanes: 1}, 256, 64},               // scalar auto: full mask
-		{mc.Options{Lanes: 1}, 10, 10},                // scalar auto, clamped
-		{mc.Options{Lanes: 1, FanOut: 8}, 9, 8},       // explicit on scalar path
-		{mc.Options{Lanes: 1, FanOut: 8}, 3, 3},       // explicit on scalar path, clamped
+		{mc.Options{Lanes: 1}, 256, 1},                // scalar reference: per source
+		{mc.Options{Lanes: 1, FanOut: 8}, 256, 1},     // scalar reference ignores FanOut
 		{mc.Options{Samples: 383}, 8, 8},              // 64 lanes, enough sources
 		{mc.Options{Samples: 383}, 7, 1},              // 64 lanes, too few to group
 		{mc.Options{Samples: 383}, 256, 8},            // 64 lanes, group of 8
@@ -84,7 +87,7 @@ func TestPlanFanOut(t *testing.T) {
 
 // TestAdaptiveRoundsPlannedPerRound: an auto-planned adaptive run plans
 // each round from its own budget, so with MinSamples 4 the 4-, 4- and
-// 8-sample rounds run scalar, the rounds up to 256 samples run 64 lanes and
+// 8-sample rounds run 64 lanes, as do the rounds up to 256 samples, and
 // the later ones 256 lanes. Mixing shapes across rounds must stop at the
 // same sample count with the same estimates as a run pinned to one width.
 func TestAdaptiveRoundsPlannedPerRound(t *testing.T) {

@@ -58,12 +58,12 @@ type Config struct {
 	// not set "lanes" themselves: 0 = the planner (auto), 1 = the scalar
 	// ablation, 64/256 = explicit WorldBatch widths.
 	Lanes int
-	// FanOut is the default source group size of pair queries' source
-	// traversals for queries that do not set "fan_out" themselves: 0 = the
-	// planner (auto), 1 = one traversal per source (the per-source
-	// ablation), 8 = groups of eight sources (see mc.Options.FanOut). Pairs
-	// whose source has few targets run pair searches, which it does not
-	// apply to.
+	// FanOut is the default source group size of pair queries' 64-lane
+	// source traversals for queries that do not set "fan_out" themselves:
+	// 0 = the planner (auto), 1 = one traversal per source (the per-source
+	// ablation), 8 = groups of eight sources (see mc.Options.FanOut).
+	// 256-lane runs, the scalar reference and pairs whose source has few
+	// targets (pair searches) do not apply it.
 	FanOut int
 	// WorldCacheBytes bounds the cross-request sampled-world cache
 	// (default 64 MiB; negative disables it). The cache keeps a block from
@@ -573,12 +573,14 @@ type QueryRequest struct {
 	// width is an execution choice only — estimates are bit-identical
 	// across all of them.
 	Lanes string `json:"lanes,omitempty"`
-	// FanOut selects how many distinct sources one source traversal of a
-	// pair query carries: "auto" (the planner), "1" (one traversal per
-	// source, the per-source ablation) or "8" (groups of eight sources);
-	// other values are rejected with 400. Empty uses the server default. Pairs whose source has few targets run pair searches, which
-	// it does not apply to. Like Lanes it is an execution choice only —
-	// per-pair estimates are bit-identical across every fan-out.
+	// FanOut selects how many distinct sources one 64-lane source
+	// traversal of a pair query carries: "auto" (the planner), "1" (one
+	// traversal per source, the per-source ablation) or "8" (groups of
+	// eight sources); other values are rejected with 400. Empty uses the
+	// server default. 256-lane runs, Lanes "1" and pairs whose source has
+	// few targets (pair searches) do not apply it. Like Lanes it is an
+	// execution choice only — per-pair estimates are bit-identical across
+	// every fan-out.
 	FanOut string `json:"fan_out,omitempty"`
 	// Confidence switches reliability/distance/connected queries from the
 	// fixed Samples budget to sequential stopping; a request asks for it

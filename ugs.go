@@ -321,13 +321,15 @@ type (
 //
 // Reliability, ShortestDistance{,AndReliability} and ConnectedProbability
 // run on the bit-parallel batch engine (WorldBatch + mask-BFS: one
-// traversal answers a full lane vector of sampled worlds). MCOptions.Lanes
-// selects the width — 64 or 256 lanes, 1 for the scalar ablation, or 0 for
-// the planner's fixed rule over query kind and sample budget — and
-// MCOptions.Target switches from a fixed sample budget to sequential
-// stopping, whose rounds are each planned from their own budget. Every
-// width and both fixed and adaptive schedules produce bit-identical
-// estimates on the same seed.
+// traversal answers a full lane vector of sampled worlds) at every sample
+// budget. MCOptions.Lanes selects the width — 64 or 256 lanes, 1 for the
+// scalar reference (one BFS per source per sampled world), or 0 for the
+// planner's fixed rule over query kind and sample budget — MCOptions.FanOut
+// the source group size of 64-lane source traversals, and MCOptions.Target
+// switches from a fixed sample budget to sequential stopping, whose rounds
+// are each planned from their own budget. Every width and fan-out and both
+// fixed and adaptive schedules produce bit-identical estimates on the same
+// seed.
 var (
 	// ExpectedPageRank estimates per-vertex expected PageRank.
 	ExpectedPageRank = queries.ExpectedPageRank
